@@ -24,7 +24,7 @@ use exa_telemetry::{digest64, FomKind, FomRecord, SpanCat, TelemetryCollector};
 #[derive(Debug, Clone)]
 pub struct DnsStep {
     /// Grid size N (N³ points). Power of two keeps every line on the
-    /// radix-2 path.
+    /// power-of-two kernel.
     pub n: usize,
     /// Simulated MPI ranks (`≤ N²`, the Pencils bound).
     pub ranks: usize,
@@ -122,13 +122,58 @@ fn initial_field(n: usize) -> Vec<C64> {
     field
 }
 
-/// Signed wavenumber of grid index `i` on an `n`-periodic axis.
-fn wavenumber(i: usize, n: usize) -> f64 {
+/// `|k|` of grid index `i` on an `n`-periodic axis (the signed
+/// wavenumber is `i` up to `n/2` and `i - n` above).
+fn wavenumber_abs(i: usize, n: usize) -> usize {
     if i <= n / 2 {
-        i as f64
+        i
     } else {
-        i as f64 - n as f64
+        n - i
     }
+}
+
+/// Integrating-factor decay `e^{-ν |k|² dt}` for every `|k|² = k0² + k1²
+/// + k2²` of an `n³` grid, indexed by `|k|²`. That sum is an exact
+/// integer of at most `3·(n/2)²`, so `|k|² as f64` is exactly the f64 sum
+/// of squared wavenumbers and each entry is the per-point factor bit for
+/// bit, at one `exp` per distinct `|k|²` instead of one per point.
+fn decay_table(n: usize, nu: f64, dt: f64) -> Vec<f64> {
+    let kmax = n / 2;
+    (0..=3 * kmax * kmax)
+        .map(|k2sum| (-nu * k2sum as f64 * dt).exp())
+        .collect()
+}
+
+/// Spectral viscous advance `û *= e^{-ν k² dt}` in the post-forward
+/// layout: lines run along axis 0 and line index is `i1·n + i2`, so one
+/// pass over each rank's lines sees every `(k0, k1, k2)` it owns.
+fn spectral_advance(
+    sched: &RankScheduler,
+    comm: &mut Comm,
+    gpu: &GpuModel,
+    cfg: &DnsStep,
+    grid: &mut DistGrid,
+) {
+    // ~10 flops/point against the GPU's vector peak.
+    let n = cfg.n;
+    let decay_time =
+        SimTime::from_secs(10.0 * (n * n * n) as f64 / (cfg.ranks as f64 * gpu.peak_f64 * 0.2));
+    let split_base = (n * n) / cfg.ranks;
+    let split_rem = (n * n) % cfg.ranks;
+    let decay = decay_table(n, cfg.viscosity, cfg.dt);
+    let sq = |i: usize| wavenumber_abs(i, n).pow(2);
+    sched.compute_phase(comm, grid_parts(grid), |ctx, part| {
+        let r = ctx.rank();
+        let start = r * split_base + r.min(split_rem);
+        for (li, line) in part.chunks_mut(n).enumerate() {
+            let gl = start + li;
+            let k12 = sq(gl / n) + sq(gl % n);
+            for (i0, z) in line.iter_mut().enumerate() {
+                *z = z.scale(decay[sq(i0) + k12]);
+            }
+        }
+        ctx.span("spectral_advance", SpanCat::Kernel, decay_time);
+    });
 }
 
 /// Field energy `Σ|u|²`, reduced in rank order through the communicator
@@ -217,30 +262,8 @@ pub fn dns_step_window(
     let t0 = comm.elapsed();
     plan.forward(sched, comm, gpu, grid);
 
-    // Spectral advance in the post-forward layout: lines run along axis 0,
-    // line index is i1·n + i2 — so one pass over each rank's lines sees
-    // every (k0, k1, k2) it owns. Integrating-factor advance is exact for
-    // the viscous term. ~10 flops/point against the GPU's vector peak.
-    let n = cfg.n;
-    let decay_time =
-        SimTime::from_secs(10.0 * (n * n * n) as f64 / (cfg.ranks as f64 * gpu.peak_f64 * 0.2));
-    let split_base = (n * n) / cfg.ranks;
-    let split_rem = (n * n) % cfg.ranks;
-    let (dt, nu) = (cfg.dt, cfg.viscosity);
-    sched.compute_phase(comm, grid_parts(grid), |ctx, part| {
-        let r = ctx.rank();
-        let start = r * split_base + r.min(split_rem);
-        for (li, line) in part.chunks_mut(n).enumerate() {
-            let gl = start + li;
-            let (k1, k2) = (wavenumber(gl / n, n), wavenumber(gl % n, n));
-            for (i0, z) in line.iter_mut().enumerate() {
-                let k0 = wavenumber(i0, n);
-                let k2sum = k0 * k0 + k1 * k1 + k2 * k2;
-                *z = z.scale((-nu * k2sum * dt).exp());
-            }
-        }
-        ctx.span("spectral_advance", SpanCat::Kernel, decay_time);
-    });
+    // Integrating-factor advance: exact for the viscous term.
+    spectral_advance(sched, comm, gpu, cfg, grid);
 
     plan.inverse(sched, comm, gpu, grid);
     comm.elapsed() - t0
@@ -289,6 +312,42 @@ mod tests {
             assert_eq!(f1.wall_s.to_bits(), fn_.wall_s.to_bits());
             assert_eq!(f1.identity(), fn_.identity());
         }
+    }
+
+    #[test]
+    fn table_advance_is_bitwise_the_per_point_expression() {
+        let cfg = DnsStep { n: 16, ..small() };
+        let n = cfg.n;
+        let sched = RankScheduler::new();
+        let machine = MachineModel::frontier();
+        let gpu = machine.node.gpu().clone();
+        let mut comm = Comm::new(cfg.ranks, Network::from_machine(&machine));
+        let mut grid = DistGrid::from_global(n, cfg.ranks, &initial_field(n));
+        ExecutedFft3d::new(n).forward(&sched, &mut comm, &gpu, &mut grid);
+        let mut want = grid.gather_global();
+        spectral_advance(&sched, &mut comm, &gpu, &cfg, &mut grid);
+        // The advance as a per-point expression on the canonical array.
+        let k = |i: usize| {
+            if i <= n / 2 {
+                i as f64
+            } else {
+                i as f64 - n as f64
+            }
+        };
+        for i0 in 0..n {
+            for i1 in 0..n {
+                for i2 in 0..n {
+                    let (k0, k1, k2) = (k(i0), k(i1), k(i2));
+                    let k2sum = k0 * k0 + k1 * k1 + k2 * k2;
+                    let z = &mut want[(i0 * n + i1) * n + i2];
+                    *z = z.scale((-cfg.viscosity * k2sum * cfg.dt).exp());
+                }
+            }
+        }
+        let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        assert_eq!(bits(&grid.gather_global()), bits(&want));
     }
 
     #[test]

@@ -127,11 +127,16 @@ struct GatherProbe<'a> {
     field: Vec<C64>,
 }
 
+/// Decode an `fft.gather` candidate; the knob's domain is {0, 1}.
+fn gather(v: i64) -> GatherStrategy {
+    GatherStrategy::from_knob(v).expect("fft.gather candidates are 0 and 1")
+}
+
 impl GatherProbe<'_> {
     /// Counted host operations for one full round trip (4 repartitions).
     fn host_ops(&self, v: i64) -> f64 {
         let n = self.n as f64;
-        let per_repartition = match GatherStrategy::from_knob(v) {
+        let per_repartition = match gather(v) {
             // map + div + copy per element
             GatherStrategy::Element => 3.0 * n * n * n,
             // ~16-op probe per line, ~1 op per copied element
@@ -146,7 +151,7 @@ impl Probe for GatherProbe<'_> {
         self.host_ops(v)
     }
     fn confirm(&mut self, v: i64) -> ConfirmOutcome {
-        let plan = ExecutedFft3d::with_tuning(self.n, GatherStrategy::from_knob(v), 1);
+        let plan = ExecutedFft3d::with_tuning(self.n, gather(v), 1);
         let mut grid = DistGrid::from_global(self.n, self.ranks, &self.field);
         let mut comm = frontier_comm(self.ranks);
         let gpu = frontier_gpu();
@@ -162,10 +167,12 @@ impl Probe for GatherProbe<'_> {
     }
 }
 
-/// `fft.line_batch` — lines per batched butterfly group. Batching shares
-/// one twiddle-table walk across the group, so the deterministic metric
-/// is the table-fetch count per pass sweep: `log2(n) · ⌈lines/batch⌉ ·
-/// n/2` fetches.
+/// `fft.line_batch` — lines per batched butterfly group. The
+/// deterministic metric is the twiddle-table fetch count per pass sweep
+/// of the stage-outer radix-2 loop the knob was tuned on:
+/// `log2(n) · ⌈lines/batch⌉ · n/2` fetches. The power-of-two kernel
+/// reads contiguous per-stage twiddles from its plan, so the metric
+/// keeps `TUNED.json` stable rather than predicting today's wall time.
 struct LineBatchProbe {
     n: usize,
 }
@@ -709,7 +716,7 @@ fn bench_autotune(c: &mut Criterion) {
     let frozen_plan = ExecutedFft3d::new(GATE_N);
     let tuned_plan = ExecutedFft3d::with_tuning(
         GATE_N,
-        GatherStrategy::from_knob(winners.get("fft.gather").copied().unwrap_or(0)),
+        gather(winners.get("fft.gather").copied().unwrap_or(0)),
         winners.get("fft.line_batch").copied().unwrap_or(1).max(1) as usize,
     );
     let fft_gate = gate_path(

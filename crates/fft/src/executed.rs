@@ -13,10 +13,19 @@
 //! the scheduler's virtual-time merge orders clocks and spans by rank, so
 //! results, traces and timings are bit-identical at any thread count. The
 //! transform itself is bitwise identical to [`crate::fft3d::fft3d`] on the
-//! gathered global array (same per-line [`fft`] on the same values, axes
-//! in the same order) — a property the tests assert with `to_bits`.
+//! gathered global array (same per-line [`crate::fft1d::fft`] on the same
+//! values, axes in the same order) — a property the tests assert with
+//! `to_bits`.
+//!
+//! Every line pass hands groups of `fft.line_batch` lines to the crate's
+//! shared power-of-two kernel: a per-thread plan (bit-reversal swap
+//! list, contiguous per-stage twiddles) drives radix-2² passes on AVX2
+//! when the host has it, and the textbook radix-2 loop otherwise. Both
+//! paths do each butterfly's multiplies and adds in the same order — no
+//! FMA, no reassociation — so neither the path nor the batch size
+//! changes a bit.
 
-use crate::fft1d::{fft, fft_batch, fft_flops, ifft, ifft_batch};
+use crate::fft1d::{fft_batch, fft_flops, ifft_batch};
 use exa_linalg::C64;
 use exa_machine::{GpuModel, SimTime};
 use exa_mpi::{Comm, RankScheduler};
@@ -42,13 +51,13 @@ pub enum GatherStrategy {
 }
 
 impl GatherStrategy {
-    /// Decode the `fft.gather` knob value (0 = element, 1 = run;
-    /// anything else falls back to the frozen strategy).
-    pub fn from_knob(v: i64) -> Self {
-        if v == 1 {
-            GatherStrategy::Run
-        } else {
-            GatherStrategy::Element
+    /// Decode the `fft.gather` knob value (0 = element, 1 = run); any
+    /// other value is an error naming the knob and the value.
+    pub fn from_knob(v: i64) -> Result<Self, String> {
+        match v {
+            0 => Ok(GatherStrategy::Element),
+            1 => Ok(GatherStrategy::Run),
+            _ => Err(format!("fft.gather = {v}: expected 0 (element) or 1 (run)")),
         }
     }
 }
@@ -209,8 +218,8 @@ pub struct ExecutedFft3d {
     pub compute_eff: f64,
     /// Repartition gather strategy (`fft.gather`).
     gather: GatherStrategy,
-    /// Lines per batched butterfly group (`fft.line_batch`); 1 = the
-    /// frozen per-line loop.
+    /// Lines per kernel call (`fft.line_batch`): how many lines share one
+    /// plan lookup. It never changes the output.
     line_batch: usize,
 }
 
@@ -224,12 +233,14 @@ impl ExecutedFft3d {
     /// Plan on the persisted knob table: `fft.gather` and
     /// `fft.line_batch` from `TUNED.json` (env-overridable), falling
     /// back to the frozen constants when untuned.
+    ///
+    /// # Panics
+    ///
+    /// If `fft.gather` resolves to a value other than 0 or 1.
     pub fn tuned(n: usize) -> Self {
-        Self::with_tuning(
-            n,
-            GatherStrategy::from_knob(exa_tune::knob_i64("fft.gather", 0)),
-            exa_tune::knob("fft.line_batch", 1).max(1),
-        )
+        let gather = GatherStrategy::from_knob(exa_tune::knob_i64("fft.gather", 0))
+            .unwrap_or_else(|e| panic!("{e}"));
+        Self::with_tuning(n, gather, exa_tune::knob("fft.line_batch", 1).max(1))
     }
 
     /// Plan with explicit knob values — what the autotuner's micro-runs
@@ -269,23 +280,13 @@ impl ExecutedFft3d {
         };
         let batch = self.line_batch;
         sched.compute_phase(comm, &mut grid.parts, |ctx, part| {
-            if batch > 1 {
-                // Batched butterflies share the twiddle walk across
-                // `batch` lines; bit-identical to the per-line loop.
-                for group in part.chunks_mut(n * batch) {
-                    if inverse {
-                        ifft_batch(group, n);
-                    } else {
-                        fft_batch(group, n);
-                    }
-                }
-            } else {
-                for line in part.chunks_mut(n) {
-                    if inverse {
-                        ifft(line);
-                    } else {
-                        fft(line);
-                    }
+            // One plan lookup per `batch` lines; bit-identical to the
+            // per-line `fft`/`ifft` at any batch.
+            for group in part.chunks_mut(n * batch) {
+                if inverse {
+                    ifft_batch(group, n);
+                } else {
+                    fft_batch(group, n);
                 }
             }
             ctx.span(span, SpanCat::Kernel, self.pass_time(gpu, part.len() / n));
@@ -793,6 +794,16 @@ mod tests {
                 frozen, tuned,
                 "tuned transform must match frozen bit for bit at {ranks} ranks"
             );
+        }
+    }
+
+    #[test]
+    fn gather_knob_decodes_only_known_values() {
+        assert_eq!(GatherStrategy::from_knob(0), Ok(GatherStrategy::Element));
+        assert_eq!(GatherStrategy::from_knob(1), Ok(GatherStrategy::Run));
+        for bad in [-1, 2, 7] {
+            let err = GatherStrategy::from_knob(bad).unwrap_err();
+            assert!(err.contains("fft.gather") && err.contains(&bad.to_string()));
         }
     }
 

@@ -1,106 +1,23 @@
 //! One-dimensional complex FFTs.
 //!
-//! Powers of two use an iterative, in-place radix-2 Cooley–Tukey transform;
-//! other lengths fall back to Bluestein's chirp-z algorithm (which reduces
-//! any length to a power-of-two cyclic convolution).
+//! Powers of two run the crate's shared in-place kernel (`pow2.rs`:
+//! radix-2² passes on AVX2 where the host has it, the textbook radix-2
+//! Cooley–Tukey loop elsewhere, bit for bit the same either way); other
+//! lengths fall back to Bluestein's chirp-z algorithm (which reduces any
+//! length to a power-of-two cyclic convolution).
 
+use crate::pow2;
 use exa_linalg::C64;
-use std::cell::RefCell;
 use std::f64::consts::PI;
-use std::rc::Rc;
 
 /// Forward DFT, in place: `X[k] = Σ x[j]·e^{-2πi jk/n}`.
 pub fn fft(data: &mut [C64]) {
-    transform(data, false);
+    fft_batch(data, data.len());
 }
 
 /// Inverse DFT, in place, normalised by `1/n` so `ifft(fft(x)) = x`.
 pub fn ifft(data: &mut [C64]) {
-    transform(data, true);
-    let scale = 1.0 / data.len() as f64;
-    for z in data.iter_mut() {
-        *z = z.scale(scale);
-    }
-}
-
-/// Dispatch on length.
-fn transform(data: &mut [C64], inverse: bool) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    if n.is_power_of_two() {
-        fft_pow2(data, inverse);
-    } else {
-        bluestein(data, inverse);
-    }
-}
-
-/// Half-length twiddle table for a size-`n` transform:
-/// `tw[k] = e^{sign·2πi k/n}` for `k < n/2`. Stage `len` reads it at
-/// stride `n/len`, so one table serves every butterfly pass.
-///
-/// Tables are cached per thread (the distributed 3-D FFT transforms
-/// thousands of equal-length lines back to back); entries are pure
-/// functions of `(n, inverse)`, so the cache never affects results.
-fn twiddle_table(n: usize, inverse: bool) -> Rc<Vec<C64>> {
-    type CacheEntry = (usize, bool, Rc<Vec<C64>>);
-    thread_local! {
-        static CACHE: RefCell<Vec<CacheEntry>> = const { RefCell::new(Vec::new()) };
-    }
-    CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        if let Some((_, _, t)) = c.iter().find(|(m, inv, _)| *m == n && *inv == inverse) {
-            return Rc::clone(t);
-        }
-        let sign = if inverse { 1.0 } else { -1.0 };
-        let table: Rc<Vec<C64>> = Rc::new(
-            (0..n / 2)
-                .map(|k| C64::cis(sign * 2.0 * PI * k as f64 / n as f64))
-                .collect(),
-        );
-        if c.len() >= 16 {
-            c.remove(0);
-        }
-        c.push((n, inverse, Rc::clone(&table)));
-        table
-    })
-}
-
-/// Iterative radix-2 Cooley–Tukey (requires `n` a power of two).
-///
-/// Twiddles come from a precomputed table instead of the textbook
-/// running product `w *= wlen`: the butterfly loop loses its
-/// loop-carried dependency (so it auto-vectorizes) and each factor is a
-/// direct `cis` evaluation rather than an accumulated product.
-fn fft_pow2(data: &mut [C64], inverse: bool) {
-    let n = data.len();
-    debug_assert!(n.is_power_of_two());
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-    // Butterflies, one pass per stage, twiddle stride halving each time.
-    let tw = twiddle_table(n, inverse);
-    let mut len = 2;
-    while len <= n {
-        let half = len / 2;
-        let stride = n / len;
-        for chunk in data.chunks_mut(len) {
-            let (lo, hi) = chunk.split_at_mut(half);
-            for k in 0..half {
-                let u = lo[k];
-                let v = hi[k] * tw[k * stride];
-                lo[k] = u + v;
-                hi[k] = u - v;
-            }
-        }
-        len <<= 1;
-    }
+    ifft_batch(data, data.len());
 }
 
 /// Bluestein's algorithm: any-length DFT via a power-of-two convolution.
@@ -125,12 +42,12 @@ fn bluestein(data: &mut [C64], inverse: bool) {
     for j in 1..n {
         b[m - j] = chirp[j].conj();
     }
-    fft_pow2(&mut a, false);
-    fft_pow2(&mut b, false);
+    pow2::transform(&mut a, m, false);
+    pow2::transform(&mut b, m, false);
     for (x, y) in a.iter_mut().zip(&b) {
         *x *= *y;
     }
-    fft_pow2(&mut a, true);
+    pow2::transform(&mut a, m, true);
     let scale = 1.0 / m as f64;
     for k in 0..n {
         data[k] = a[k].scale(scale) * chirp[k];
@@ -140,62 +57,35 @@ fn bluestein(data: &mut [C64], inverse: bool) {
 /// Forward DFT of `lines.len() / n` contiguous length-`n` lines, bit-for-bit
 /// identical to calling [`fft`] per line.
 ///
-/// For power-of-two lengths the butterfly stages run line-inside-stage:
-/// the bit-reversal pass and each stage's twiddle-table walk are shared
-/// across the whole batch instead of re-fetched per line. Every
-/// per-line floating-point operation and its order are unchanged (lines
-/// are independent), so batching is purely a locality knob
-/// (`fft.line_batch`) — never a numerics one.
+/// Power-of-two lines go through the shared kernel with one plan lookup
+/// for the whole batch; every per-line floating-point operation and its
+/// order are unchanged (lines are independent), so batching is purely a
+/// locality knob (`fft.line_batch`) — never a numerics one.
 pub fn fft_batch(lines: &mut [C64], n: usize) {
-    batch_transform(lines, n, false);
+    transform(lines, n, false);
 }
 
 /// Inverse counterpart of [`fft_batch`], bit-identical to per-line [`ifft`].
 pub fn ifft_batch(lines: &mut [C64], n: usize) {
-    batch_transform(lines, n, true);
+    transform(lines, n, true);
     let scale = 1.0 / n as f64;
     for z in lines.iter_mut() {
         *z = z.scale(scale);
     }
 }
 
-fn batch_transform(lines: &mut [C64], n: usize, inverse: bool) {
+/// Dispatch on line length.
+fn transform(lines: &mut [C64], n: usize, inverse: bool) {
     assert_eq!(lines.len() % n.max(1), 0, "batch must hold whole lines");
     if n <= 1 {
         return;
     }
-    if !n.is_power_of_two() {
+    if n.is_power_of_two() {
+        pow2::transform(lines, n, inverse);
+    } else {
         for line in lines.chunks_mut(n) {
             bluestein(line, inverse);
         }
-        return;
-    }
-    // Shared bit-reversal pass.
-    let bits = n.trailing_zeros();
-    for line in lines.chunks_mut(n) {
-        for i in 0..n {
-            let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
-            if j > i {
-                line.swap(i, j);
-            }
-        }
-    }
-    // Stages outermost, lines inside: one table fetch per stage.
-    let tw = twiddle_table(n, inverse);
-    let mut len = 2;
-    while len <= n {
-        let half = len / 2;
-        let stride = n / len;
-        for chunk in lines.chunks_mut(len) {
-            let (lo, hi) = chunk.split_at_mut(half);
-            for k in 0..half {
-                let u = lo[k];
-                let v = hi[k] * tw[k * stride];
-                lo[k] = u + v;
-                hi[k] = u - v;
-            }
-        }
-        len <<= 1;
     }
 }
 

@@ -5,9 +5,10 @@
 //! SHOC suite (Figure 1) contains an FFT microbenchmark. This crate is the
 //! cuFFT/rocFFT stand-in they all share:
 //!
-//! * [`fft1d`] — iterative radix-2 Cooley–Tukey for powers of two and a
-//!   Bluestein chirp-z fallback for general lengths, with inverse and
-//!   real-input helpers;
+//! * [`fft1d`] — powers of two through one cached-plan kernel (radix-2²
+//!   AVX2 passes where the host has it, bit-identical to the radix-2
+//!   Cooley–Tukey loop it runs elsewhere) and a Bluestein chirp-z fallback for
+//!   general lengths, with inverse and real-input helpers;
 //! * [`mod@fft3d`] — in-memory 3-D transforms, thread-parallel over lines;
 //! * [`dist3d`] — the distributed 3-D FFT at the heart of the GESTS PSDNS
 //!   solver, with both domain decompositions the paper compares: **Slabs**
@@ -22,6 +23,7 @@ pub mod dist3d;
 pub mod executed;
 pub mod fft1d;
 pub mod fft3d;
+mod pow2;
 pub mod real;
 
 pub use dist3d::{Decomp, DistFft3d};

@@ -8,8 +8,10 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A double-precision complex number.
+/// A double-precision complex number, laid out as `[re, im]` (the
+/// interleaved layout vector FFT kernels load directly).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct C64 {
     /// Real part.
     pub re: f64,

@@ -3,7 +3,8 @@
 #
 #   1. release build of the whole workspace, then `cargo clippy -D warnings`
 #      (the workspace is lint-clean; keep it that way);
-#   2. full test suite (unit + integration + property);
+#   2. full test suite (unit + integration + property) of every crate in
+#      the workspace, release and debug builds (see 6);
 #   3. telemetry export: `profile_export` re-drives the instrumented Pele /
 #      E3SM / GESTS paths and schema-checks its own output (non-empty spans,
 #      totals > 0, counters consistent, Chrome-trace invariants) before
@@ -14,11 +15,13 @@
 #      sentinel detects an injected 2x slowdown (exit 1 on any failure);
 #   5. overlap bench: the `comm_overlap` bench gates >=1.3x on its own
 #      comm-bound configuration and bit-identical FFT output;
-#   6. parallel substrate: the full test suite re-runs under EXA_THREADS=1
-#      and EXA_THREADS=4 (the scheduler's determinism contract says the
-#      results cannot differ), and the `sim_throughput` bench gates >=4x
-#      on the 256-rank executed Pele step plus the executed 1024-rank
-#      distributed FFT inside its wall budget;
+#   6. parallel substrate: the full workspace test suite runs under
+#      EXA_THREADS=1 and EXA_THREADS=4 (the scheduler's determinism
+#      contract says the results cannot differ), plus once as a debug
+#      build so `debug_assert!`s and overflow checks run, and the
+#      `sim_throughput` bench gates >=4x on the 256-rank executed Pele
+#      step plus the executed 1024-rank distributed FFT inside its wall
+#      budget;
 #   7. substrate observability: `obs_export` re-drives the 256-rank
 #      executed Pele campaign on 4 lanes with the pool/scheduler observer
 #      attached, gates worker occupancy within 10% of wall x lanes, and
@@ -61,8 +64,11 @@ cargo build --release
 cargo clippy --workspace --release -- -D warnings
 cargo fmt --all -- --check
 for threads in 1 4; do
-    EXA_THREADS=$threads cargo test -q
+    EXA_THREADS=$threads cargo test -q --workspace --release
 done
+# The release profile compiles out `debug_assert!` and overflow checks;
+# one debug pass keeps them gated.
+EXA_THREADS=4 cargo test -q --workspace
 cargo run --release -q -p exa-bench --bin profile_export
 cargo run --release -q -p exa-bench --bin fom_ledger
 cargo bench -q -p exa-bench --bench comm_overlap
@@ -249,4 +255,4 @@ check_artifact BENCH_autotune.json          check_autotune
 check_artifact TUNED.json                   check_tuned_table
 check_artifact BENCH_HISTORY.jsonl          check_bench_history
 
-echo "tier1: build + clippy + fmt + tests (EXA_THREADS=1,4) + telemetry export + fom ledger + overlap + substrate benches + autotune + observability export + fault scenarios + campaign service all green"
+echo "tier1: build + clippy + fmt + tests (EXA_THREADS=1,4 release + debug) + telemetry export + fom ledger + overlap + substrate benches + autotune + observability export + fault scenarios + campaign service all green"
