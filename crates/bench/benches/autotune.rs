@@ -1,8 +1,9 @@
-//! Autotuner headline benchmark (ISSUE PR 10 acceptance gate).
+//! Autotuner headline benchmark.
 //!
 //! Runs the full `exa-tune` pipeline — enumerate → cost-prune →
-//! executed-confirm → persist — over every hard-coded performance knob
-//! the workspace exposes, then proves three things about the result:
+//! executed-confirm → persist — over the two knobs whose best value
+//! differs between configurations (`fft.gather`, `fft.overlap_k`), then
+//! proves three things about the result:
 //!
 //! * **Seed purity** — the tuner is run twice, its confirmation
 //!   micro-runs driven once by a 1-thread and once by a 4-thread rank
@@ -21,23 +22,17 @@
 //!   the hard threshold under shared-host noise, so it gates only
 //!   against a no-dilution floor.
 //! * **Bit identity** — tuned execution is bitwise-equal to frozen on
-//!   every physics output, virtual clock and communication tally; and
-//!   the paths the tuner leaves at their frozen constants (Pele
-//!   chemistry, GEMM) neither change bits nor regress wall-clock beyond
-//!   the noise floor when the winners are applied.
+//!   every physics output, virtual clock and communication tally.
 //!
 //! The winning table is persisted to `TUNED.json` at the repo root
-//! (consulted by `ExecutedFft3d::tuned` and friends at construction
-//! time); the gate record lands in `BENCH_autotune.json`.
+//! (consulted by `ExecutedFft3d::tuned` and `Gests::frontier_target` at
+//! construction time); the gate record lands in `BENCH_autotune.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exa_apps::gests_exec::{dns_step_window, DnsStep};
-use exa_apps::pele_exec::{chemistry_campaign, ChemCampaign, ChemKernel};
 use exa_bench::write_root_json;
-use exa_fft::fft1d::{fft_batch, ifft_batch};
 use exa_fft::{Decomp, DistFft3d, DistGrid, ExecutedFft3d, GatherStrategy, C64};
-use exa_hal::{FusionPolicy, GraphCapture, KernelProfile};
-use exa_machine::{DType, GpuModel, LaunchConfig, MachineModel, SimTime};
+use exa_machine::{GpuModel, MachineModel, SimTime};
 use exa_mpi::{Comm, Network, RankScheduler};
 use exa_tune::{ConfirmOutcome, KnobSpec, Probe, TuneReport, Tuner};
 use serde::Serialize;
@@ -58,8 +53,6 @@ const SPEEDUP_REQUIRED: f64 = 1.25;
 /// plan may not dilute the application path even when the gather win is
 /// partially masked by the spectral advance.
 const DNS_FLOOR: f64 = 1.05;
-/// Untouched paths may not regress below this frozen/tuned wall ratio.
-const GUARD_FLOOR: f64 = 0.75;
 /// Footprint of the gated FFT paths: a 128³ grid (32 MiB of complex
 /// field — memory-bound, where the repartition gather dominates the
 /// round trip). The round trip runs over 1024 ranks; the DNS window
@@ -68,10 +61,6 @@ const GUARD_FLOOR: f64 = 0.75;
 const GATE_N: usize = 128;
 const GATE_RANKS: usize = 1024;
 const DNS_RANKS: usize = 4096;
-
-fn env_name(key: &str) -> String {
-    format!("EXA_TUNE_{}", key.replace('.', "_").to_uppercase())
-}
 
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(|a, b| a.total_cmp(b));
@@ -151,7 +140,7 @@ impl Probe for GatherProbe<'_> {
         self.host_ops(v)
     }
     fn confirm(&mut self, v: i64) -> ConfirmOutcome {
-        let plan = ExecutedFft3d::with_tuning(self.n, gather(v), 1);
+        let plan = ExecutedFft3d::with_tuning(self.n, gather(v));
         let mut grid = DistGrid::from_global(self.n, self.ranks, &self.field);
         let mut comm = frontier_comm(self.ranks);
         let gpu = frontier_gpu();
@@ -162,51 +151,6 @@ impl Probe for GatherProbe<'_> {
         black_box(&grid);
         ConfirmOutcome {
             det_units: self.host_ops(v),
-            wall_s,
-        }
-    }
-}
-
-/// `fft.line_batch` — lines per batched butterfly group. The
-/// deterministic metric is the twiddle-table fetch count per pass sweep
-/// of the stage-outer radix-2 loop the knob was tuned on:
-/// `log2(n) · ⌈lines/batch⌉ · n/2` fetches. The power-of-two kernel
-/// reads contiguous per-stage twiddles from its plan, so the metric
-/// keeps `TUNED.json` stable rather than predicting today's wall time.
-struct LineBatchProbe {
-    n: usize,
-}
-
-impl LineBatchProbe {
-    fn fetches(&self, batch: i64) -> f64 {
-        let n = self.n;
-        let stages = n.trailing_zeros() as f64;
-        let groups = (n * n).div_ceil(batch.max(1) as usize) as f64;
-        stages * groups * (n / 2) as f64
-    }
-}
-
-impl Probe for LineBatchProbe {
-    fn cost(&mut self, v: i64) -> f64 {
-        self.fetches(v)
-    }
-    fn confirm(&mut self, v: i64) -> ConfirmOutcome {
-        // Execute one batched pass sweep over n² lines, both directions.
-        let n = self.n;
-        let mut lines = test_field(n);
-        lines.truncate(n * n * n.min(8));
-        let group = n * v.max(1) as usize;
-        let t0 = Instant::now();
-        for chunk in lines.chunks_mut(group) {
-            fft_batch(chunk, n);
-        }
-        for chunk in lines.chunks_mut(group) {
-            ifft_batch(chunk, n);
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        black_box(&lines);
-        ConfirmOutcome {
-            det_units: self.fetches(v),
             wall_s,
         }
     }
@@ -243,152 +187,6 @@ impl Probe for OverlapProbe {
     }
 }
 
-/// One GEMM blocking dimension (`linalg.gemm_kblock` / `_jpanel` / `_mb`)
-/// searched against a cache-aware traffic model at the reference
-/// 256³ shape, with the other two dimensions held at their frozen
-/// values. The executed confirmation runs a real GEMM with the candidate
-/// applied through its env override.
-struct GemmProbe {
-    key: &'static str,
-}
-
-impl GemmProbe {
-    fn traffic(&self, v: i64) -> f64 {
-        let (m, n, k) = (256f64, 256f64, 256f64);
-        let (mut kblock, mut jpanel, mut mb) = (64f64, 8f64, 256f64);
-        match self.key {
-            "linalg.gemm_kblock" => kblock = v as f64,
-            "linalg.gemm_jpanel" => jpanel = v as f64,
-            "linalg.gemm_mb" => mb = v as f64,
-            other => panic!("unknown gemm knob {other}"),
-        }
-        let a = m * k * (n / jpanel).ceil();
-        let b = k * n * (m / mb).ceil();
-        let c = 2.0 * m * n * (k / kblock).ceil();
-        let working_set = (kblock * jpanel + mb * kblock + mb * jpanel) * 8.0;
-        let penalty = if working_set > 512.0 * 1024.0 {
-            4.0
-        } else {
-            1.0
-        };
-        (a + b + c) * penalty
-    }
-}
-
-impl Probe for GemmProbe {
-    fn cost(&mut self, v: i64) -> f64 {
-        self.traffic(v)
-    }
-    fn confirm(&mut self, v: i64) -> ConfirmOutcome {
-        use exa_linalg::{gemm::matmul, Matrix};
-        std::env::set_var(env_name(self.key), v.to_string());
-        let a = Matrix::from_fn(96, 96, |i, j| ((i * 31 + j * 7) % 13) as f64 - 6.0);
-        let b = Matrix::from_fn(96, 96, |i, j| ((i * 17 + j * 3) % 11) as f64 - 5.0);
-        let t0 = Instant::now();
-        black_box(matmul(&a, &b));
-        let wall_s = t0.elapsed().as_secs_f64();
-        std::env::remove_var(env_name(self.key));
-        ConfirmOutcome {
-            det_units: self.traffic(v),
-            wall_s,
-        }
-    }
-}
-
-/// `hal.max_fuse` — elementwise fusion window. The deterministic metric
-/// is the launch count of a 16-kernel chain after fusion under the
-/// candidate policy (fewer launches, fewer latency charges).
-struct FuseProbe;
-
-impl FuseProbe {
-    fn capture() -> GraphCapture {
-        let mut cap = GraphCapture::new();
-        for s in 0..16 {
-            let a = 0.99 - 0.001 * s as f64;
-            let profile = KernelProfile::new(format!("elem{s}"), LaunchConfig::cover(1 << 12, 256))
-                .flops((1 << 12) as f64 * 2.0, DType::F64)
-                .bytes((1 << 15) as f64, (1 << 15) as f64);
-            cap.elementwise(profile, move |_, chunk| {
-                for x in chunk {
-                    *x = *x * a + 0.001;
-                }
-            });
-        }
-        cap
-    }
-}
-
-impl Probe for FuseProbe {
-    fn cost(&mut self, v: i64) -> f64 {
-        (16f64 / v.max(1) as f64).ceil()
-    }
-    fn confirm(&mut self, v: i64) -> ConfirmOutcome {
-        // Fuse through the real consumer path: FusionPolicy::default()
-        // resolves the knob, so the candidate rides its env override.
-        std::env::set_var(env_name("hal.max_fuse"), v.to_string());
-        let mut graph = Self::capture().end();
-        let t0 = Instant::now();
-        graph.fuse_elementwise(&FusionPolicy::default());
-        let wall_s = t0.elapsed().as_secs_f64();
-        std::env::remove_var(env_name("hal.max_fuse"));
-        ConfirmOutcome {
-            det_units: graph.kernels().count() as f64,
-            wall_s,
-        }
-    }
-}
-
-/// Block/chunk-count knobs (`exec.max_blocks`, `sched.task_chunks`):
-/// a work-stealing makespan model — `(work/w)·(1 + w/b) + overhead·b`
-/// over `b` blocks on a `w`-wide reference pool — whose optimum sits at
-/// `b = √(work/overhead)`. The reference width is fixed (not the live
-/// thread count) so the table stays identical at any `EXA_THREADS`.
-struct BlocksProbe<'a> {
-    key: &'static str,
-    sched: &'a RankScheduler,
-}
-
-impl BlocksProbe<'_> {
-    fn makespan(&self, b: i64) -> f64 {
-        let (work, width, overhead) = (4096.0, 8.0, 1.0);
-        let b = b.max(1) as f64;
-        (work / width) * (1.0 + width / b) + overhead * b
-    }
-}
-
-impl Probe for BlocksProbe<'_> {
-    fn cost(&mut self, v: i64) -> f64 {
-        self.makespan(v)
-    }
-    fn confirm(&mut self, v: i64) -> ConfirmOutcome {
-        std::env::set_var(env_name(self.key), v.to_string());
-        let t0 = Instant::now();
-        match self.key {
-            "exec.max_blocks" => {
-                let mut buf = vec![1.0f64; 1 << 16];
-                exa_hal::exec::par_map_inplace(&mut buf, |_, x| x.mul_add(1.0000001, 1e-9));
-                black_box(&buf);
-            }
-            "sched.task_chunks" => {
-                let cfg = ChemCampaign {
-                    ranks: 32,
-                    cells_per_rank: 4,
-                    substeps: 1,
-                    dt: 0.5,
-                };
-                black_box(chemistry_campaign(self.sched, ChemKernel::FusedLu, &cfg));
-            }
-            other => panic!("unknown blocks knob {other}"),
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        std::env::remove_var(env_name(self.key));
-        ConfirmOutcome {
-            det_units: self.makespan(v),
-            wall_s,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // The tuning run itself.
 // ---------------------------------------------------------------------
@@ -410,49 +208,12 @@ fn run_tuner(sched: &RankScheduler) -> TuneReport {
         },
     );
     tuner.tune(
-        &KnobSpec::new("fft.line_batch", 1, &[1, 2, 4, 8], 2),
-        &mut LineBatchProbe { n: micro_n },
-    );
-    tuner.tune(
         &KnobSpec::new("fft.overlap_k", 4, &[2, 4, 8], 3),
         &mut OverlapProbe {
             n: 1024,
             ranks: 4096,
         },
     );
-    for key in ["linalg.gemm_kblock", "linalg.gemm_jpanel", "linalg.gemm_mb"] {
-        let (frozen, candidates): (i64, &[i64]) = match key {
-            "linalg.gemm_kblock" => (64, &[16, 32, 64]),
-            "linalg.gemm_jpanel" => (8, &[2, 4, 8]),
-            _ => (256, &[64, 128, 256]),
-        };
-        tuner.tune(
-            &KnobSpec::new(key, frozen, candidates, 2),
-            &mut GemmProbe { key },
-        );
-    }
-    tuner.tune(
-        &KnobSpec::new("hal.max_fuse", 8, &[2, 4, 8], 2),
-        &mut FuseProbe,
-    );
-    tuner.tune(
-        &KnobSpec::new("exec.max_blocks", 64, &[16, 32, 64, 128], 2),
-        &mut BlocksProbe {
-            key: "exec.max_blocks",
-            sched,
-        },
-    );
-    tuner.tune(
-        &KnobSpec::new("sched.task_chunks", 64, &[16, 32, 64, 128], 2),
-        &mut BlocksProbe {
-            key: "sched.task_chunks",
-            sched,
-        },
-    );
-    // serve.shards is derived from the resolved thread count at service
-    // construction, never searched: persisting a concrete width would
-    // break table byte-identity across EXA_THREADS. 0 = auto.
-    tuner.pin("serve.shards", 0);
     tuner.finish()
 }
 
@@ -476,16 +237,6 @@ struct PathGate {
 }
 
 #[derive(Serialize)]
-struct GuardGate {
-    path: String,
-    frozen_median_s: f64,
-    tuned_median_s: f64,
-    ratio: f64,
-    floor: f64,
-    bit_identical: bool,
-}
-
-#[derive(Serialize)]
 struct Record {
     seed: u64,
     machine: String,
@@ -499,8 +250,6 @@ struct Record {
     fft_round_trip: PathGate,
     transpose_cycle: PathGate,
     dns_window: PathGate,
-    pele_guard: GuardGate,
-    gemm_guard: GuardGate,
     pass: bool,
 }
 
@@ -614,57 +363,6 @@ fn gate_path(
     gate
 }
 
-/// Guard an untouched path: applying the persisted winners through their
-/// env overrides must leave bits unchanged and wall-clock inside noise.
-fn guard_path<O: PartialEq>(
-    label: &str,
-    winners: &[(String, i64)],
-    mut run: impl FnMut() -> (O, f64),
-) -> GuardGate {
-    let apply = |on: bool| {
-        for (key, value) in winners {
-            if on {
-                std::env::set_var(env_name(key), value.to_string());
-            } else {
-                std::env::remove_var(env_name(key));
-            }
-        }
-    };
-    apply(false);
-    let (out_frozen, _) = run();
-    apply(true);
-    let (out_tuned, _) = run();
-    let bit_identical = out_frozen == out_tuned;
-    apply(false);
-
-    let (mut fw, mut tw) = (Vec::new(), Vec::new());
-    for _ in 0..REPS {
-        apply(false);
-        fw.push(run().1.min(run().1));
-        apply(true);
-        tw.push(run().1.min(run().1));
-    }
-    apply(false);
-    let guard = GuardGate {
-        path: label.to_string(),
-        frozen_median_s: median(&mut fw),
-        tuned_median_s: median(&mut tw),
-        ratio: median(&mut fw) / median(&mut tw),
-        floor: GUARD_FLOOR,
-        bit_identical,
-    };
-    println!(
-        "autotune guard [{label}]: frozen {:.2} ms, tuned {:.2} ms -> ratio {:.2} \
-         (floor {:.2}), bit-identical {}",
-        guard.frozen_median_s * 1e3,
-        guard.tuned_median_s * 1e3,
-        guard.ratio,
-        GUARD_FLOOR,
-        guard.bit_identical,
-    );
-    guard
-}
-
 fn bench_autotune(c: &mut Criterion) {
     // --- Tune twice: confirmation pools of width 1 and 4. Winners come
     // from deterministic metrics only, so the tables must match bytewise.
@@ -710,14 +408,13 @@ fn bench_autotune(c: &mut Criterion) {
     // --- Speedup gates on the two executed FFT paths, frozen constants
     // versus the persisted winners. A 1-wide pool keeps the wall-clock
     // comparison clean when the host has fewer cores than workers — the
-    // gather and batching wins are per-rank host-work reductions, so they
-    // show up identically at any pool width.
+    // gather win is a per-rank host-work reduction, so it shows up
+    // identically at any pool width.
     let sched = RankScheduler::with_threads(1);
     let frozen_plan = ExecutedFft3d::new(GATE_N);
     let tuned_plan = ExecutedFft3d::with_tuning(
         GATE_N,
         gather(winners.get("fft.gather").copied().unwrap_or(0)),
-        winners.get("fft.line_batch").copied().unwrap_or(1).max(1) as usize,
     );
     let fft_gate = gate_path(
         "fft_round_trip",
@@ -759,39 +456,10 @@ fn bench_autotune(c: &mut Criterion) {
     });
     g.finish();
 
-    // --- No-regression guards on paths whose winners stayed frozen.
-    let guard_winners: Vec<(String, i64)> = winners
-        .iter()
-        .filter(|(k, _)| !k.starts_with("fft.") && k.as_str() != "serve.shards")
-        .map(|(k, v)| (k.clone(), *v))
-        .collect();
-    let pele_cfg = ChemCampaign::pele_step_256();
-    let pele_guard = guard_path("pele_campaign", &guard_winners, || {
-        let t0 = Instant::now();
-        let out = chemistry_campaign(&sched, ChemKernel::FusedLu, &pele_cfg);
-        (out, t0.elapsed().as_secs_f64())
-    });
-    let gemm_guard = guard_path("gemm_256", &guard_winners, || {
-        use exa_linalg::{gemm::matmul, Matrix};
-        let a = Matrix::from_fn(256, 256, |i, j| ((i * 31 + j * 7) % 13) as f64 - 6.0);
-        let b = Matrix::from_fn(256, 256, |i, j| ((i * 17 + j * 3) % 11) as f64 - 5.0);
-        let t0 = Instant::now();
-        let c = matmul(&a, &b);
-        let wall = t0.elapsed().as_secs_f64();
-        (
-            c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            wall,
-        )
-    });
-
     let pass = table_identical
         && [&fft_gate, &transpose_gate, &dns_gate]
             .iter()
-            .all(|g| g.speedup >= g.required && g.bit_identical)
-        && pele_guard.bit_identical
-        && gemm_guard.bit_identical
-        && pele_guard.ratio >= GUARD_FLOOR
-        && gemm_guard.ratio >= GUARD_FLOOR;
+            .all(|g| g.speedup >= g.required && g.bit_identical);
     let record = Record {
         seed: SEED,
         machine: MACHINE.to_string(),
@@ -805,8 +473,6 @@ fn bench_autotune(c: &mut Criterion) {
         fft_round_trip: fft_gate,
         transpose_cycle: transpose_gate,
         dns_window: dns_gate,
-        pele_guard,
-        gemm_guard,
         pass,
     };
     write_root_json("BENCH_autotune", &record);
@@ -824,22 +490,10 @@ fn bench_autotune(c: &mut Criterion) {
         "tuned DNS window must match frozen bitwise"
     );
     assert!(
-        record.pele_guard.bit_identical,
-        "winners must not change Pele bits"
-    );
-    assert!(
-        record.gemm_guard.bit_identical,
-        "winners must not change GEMM bits"
-    );
-    assert!(
         record.pass,
         "autotuned paths must clear {SPEEDUP_REQUIRED}x: fft {:.2}x, transpose {:.2}x, \
-         dns {:.2}x (floor {DNS_FLOOR}); guards pele {:.2}, gemm {:.2}",
-        record.speedup_fft,
-        record.speedup_transpose,
-        record.speedup_dns,
-        record.pele_guard.ratio,
-        record.gemm_guard.ratio,
+         dns {:.2}x (floor {DNS_FLOOR})",
+        record.speedup_fft, record.speedup_transpose, record.speedup_dns,
     );
 }
 

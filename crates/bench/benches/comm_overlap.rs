@@ -114,7 +114,7 @@ fn bench_comm_overlap(c: &mut Criterion) {
             speedup: t_blocking / t,
             overlap_efficiency: eff,
         });
-        if best.map_or(true, |(_, tb, _)| t < tb) {
+        if best.is_none_or(|(_, tb, _)| t < tb) {
             best = Some((k, t, eff));
         }
     }

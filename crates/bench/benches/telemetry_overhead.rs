@@ -30,10 +30,10 @@ const REPLAYS_PER_REP: usize = 512;
 const POOL_FILL_N: usize = 1 << 16;
 const MAX_RATIO: f64 = 1.05;
 const ATTEMPTS: usize = 3;
-/// A long-running sentinel drains the collector (snapshot + critical path
-/// + ledger append) once per campaign batch — here modeled as once every
-/// this many reps (128k replays); the gate charges the enabled side the
-/// amortized per-rep share of the measured analysis cost.
+/// A long-running sentinel drains the collector (snapshot, critical path
+/// and ledger append) once per campaign batch — here modeled as once
+/// every this many reps (128k replays); the gate charges the enabled side
+/// the amortized per-rep share of the measured analysis cost.
 const ANALYSIS_EVERY: usize = 256;
 
 fn stream() -> Stream {

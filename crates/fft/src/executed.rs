@@ -17,13 +17,13 @@
 //! values, axes in the same order) — a property the tests assert with
 //! `to_bits`.
 //!
-//! Every line pass hands groups of `fft.line_batch` lines to the crate's
-//! shared power-of-two kernel: a per-thread plan (bit-reversal swap
+//! Every line pass hands each rank's whole part to the crate's shared
+//! power-of-two kernel in one batch: a per-thread plan (bit-reversal swap
 //! list, contiguous per-stage twiddles) drives radix-2² passes on AVX2
 //! when the host has it, and the textbook radix-2 loop otherwise. Both
 //! paths do each butterfly's multiplies and adds in the same order — no
-//! FMA, no reassociation — so neither the path nor the batch size
-//! changes a bit.
+//! FMA, no reassociation — so neither the path nor the batching changes
+//! a bit.
 
 use crate::fft1d::{fft_batch, fft_flops, ifft_batch};
 use exa_linalg::C64;
@@ -218,21 +218,18 @@ pub struct ExecutedFft3d {
     pub compute_eff: f64,
     /// Repartition gather strategy (`fft.gather`).
     gather: GatherStrategy,
-    /// Lines per kernel call (`fft.line_batch`): how many lines share one
-    /// plan lookup. It never changes the output.
-    line_batch: usize,
 }
 
 impl ExecutedFft3d {
-    /// Plan for an `n³` grid on the frozen constants (element gather,
-    /// per-line passes) — the untuned baseline.
+    /// Plan for an `n³` grid on the frozen element gather — the untuned
+    /// baseline.
     pub fn new(n: usize) -> Self {
-        Self::with_tuning(n, GatherStrategy::Element, 1)
+        Self::with_tuning(n, GatherStrategy::Element)
     }
 
-    /// Plan on the persisted knob table: `fft.gather` and
-    /// `fft.line_batch` from `TUNED.json` (env-overridable), falling
-    /// back to the frozen constants when untuned.
+    /// Plan on the persisted knob table: `fft.gather` from `TUNED.json`
+    /// (env-overridable), falling back to the element gather when
+    /// untuned.
     ///
     /// # Panics
     ///
@@ -240,18 +237,17 @@ impl ExecutedFft3d {
     pub fn tuned(n: usize) -> Self {
         let gather = GatherStrategy::from_knob(exa_tune::knob_i64("fft.gather", 0))
             .unwrap_or_else(|e| panic!("{e}"));
-        Self::with_tuning(n, gather, exa_tune::knob("fft.line_batch", 1).max(1))
+        Self::with_tuning(n, gather)
     }
 
-    /// Plan with explicit knob values — what the autotuner's micro-runs
-    /// and the bench baselines use.
-    pub fn with_tuning(n: usize, gather: GatherStrategy, line_batch: usize) -> Self {
+    /// Plan with an explicit gather strategy — what the autotuner's
+    /// micro-runs and the bench baselines use.
+    pub fn with_tuning(n: usize, gather: GatherStrategy) -> Self {
         assert!(n >= 2);
         ExecutedFft3d {
             n,
             compute_eff: 0.10,
             gather,
-            line_batch: line_batch.max(1),
         }
     }
 
@@ -278,16 +274,13 @@ impl ExecutedFft3d {
             (LineAxis::Axis1, true) => "ifft_lines_axis1",
             (LineAxis::Axis0, true) => "ifft_lines_axis0",
         };
-        let batch = self.line_batch;
         sched.compute_phase(comm, &mut grid.parts, |ctx, part| {
-            // One plan lookup per `batch` lines; bit-identical to the
-            // per-line `fft`/`ifft` at any batch.
-            for group in part.chunks_mut(n * batch) {
-                if inverse {
-                    ifft_batch(group, n);
-                } else {
-                    fft_batch(group, n);
-                }
+            // One plan lookup per part; bit-identical to the per-line
+            // `fft`/`ifft`.
+            if inverse {
+                ifft_batch(part, n);
+            } else {
+                fft_batch(part, n);
             }
             ctx.span(span, SpanCat::Kernel, self.pass_time(gpu, part.len() / n));
         });
@@ -723,7 +716,7 @@ mod tests {
             let mut ge = DistGrid::from_global(n, ranks, &orig);
             let mut gr = DistGrid::from_global(n, ranks, &orig);
             let elem = ExecutedFft3d::new(n);
-            let run = ExecutedFft3d::with_tuning(n, GatherStrategy::Run, 1);
+            let run = ExecutedFft3d::with_tuning(n, GatherStrategy::Run);
             // Forward and inverse transitions: A2->A1->A0->A1->A2.
             for to in [
                 LineAxis::Axis1,
@@ -750,7 +743,7 @@ mod tests {
         for ranks in [1, 7, 13, 64] {
             for plan in [
                 ExecutedFft3d::new(n),
-                ExecutedFft3d::with_tuning(n, GatherStrategy::Run, 1),
+                ExecutedFft3d::with_tuning(n, GatherStrategy::Run),
             ] {
                 let sched = RankScheduler::sequential();
                 let (mut comm, _) = setup(ranks);
@@ -789,7 +782,7 @@ mod tests {
                 )
             };
             let frozen = run_plan(ExecutedFft3d::new(n));
-            let tuned = run_plan(ExecutedFft3d::with_tuning(n, GatherStrategy::Run, 4));
+            let tuned = run_plan(ExecutedFft3d::with_tuning(n, GatherStrategy::Run));
             assert_eq!(
                 frozen, tuned,
                 "tuned transform must match frozen bit for bit at {ranks} ranks"

@@ -59,8 +59,9 @@ fn bluestein(data: &mut [C64], inverse: bool) {
 ///
 /// Power-of-two lines go through the shared kernel with one plan lookup
 /// for the whole batch; every per-line floating-point operation and its
-/// order are unchanged (lines are independent), so batching is purely a
-/// locality knob (`fft.line_batch`) — never a numerics one.
+/// order are unchanged (lines are independent), so batching never moves
+/// a bit. The executed 3-D FFT hands each rank's whole part over as one
+/// batch.
 pub fn fft_batch(lines: &mut [C64], n: usize) {
     transform(lines, n, false);
 }

@@ -81,19 +81,6 @@ pub fn unobserve_global_pool() {
 /// while the per-block closure cost stays amortized by `min_len`.
 const MAX_BLOCKS: usize = 64;
 
-/// Block clamp for *map* decompositions (`exec.max_blocks` knob, frozen
-/// at [`MAX_BLOCKS`]). Only elementwise paths ([`par_map_inplace`],
-/// [`par_fill`], [`par_chunks_mut`]) read it — each element's result is
-/// positional, so the clamp can move without touching any bits.
-/// Reduction paths ([`par_reduce`], [`par_sum_f64`], [`block_ranges`])
-/// stay on the frozen constant: their block count fixes the partial
-/// fold order, which is a frozen bit-contract. Resolved per call (not
-/// cached) so tuned-vs-frozen comparisons can flip the env override
-/// within one process.
-fn map_max_blocks() -> usize {
-    exa_tune::knob("exec.max_blocks", MAX_BLOCKS).max(1)
-}
-
 /// The deterministic block decomposition [`par_scatter_blocks`] uses for a
 /// given `(n, min_len)` — public so multi-phase algorithms (histogram →
 /// offsets → scatter, the radix-sort shape) can precompute per-block state
@@ -111,13 +98,8 @@ pub fn block_ranges(n: usize, min_len: usize) -> Vec<Range<usize>> {
 /// Split `0..n` into at most [`MAX_BLOCKS`] ranges of at least `min_len`
 /// items each. Thread-count-independent by construction.
 fn blocks(n: usize, min_len: usize) -> Vec<Range<usize>> {
-    blocks_capped(n, min_len, MAX_BLOCKS)
-}
-
-/// [`blocks`] with an explicit block-count clamp.
-fn blocks_capped(n: usize, min_len: usize, max_blocks: usize) -> Vec<Range<usize>> {
     let min_len = min_len.max(1);
-    let nblocks = (n / min_len).clamp(1, max_blocks);
+    let nblocks = (n / min_len).clamp(1, MAX_BLOCKS);
     let base = n / nblocks;
     let extra = n % nblocks;
     let mut out = Vec::with_capacity(nblocks);
@@ -137,7 +119,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let ranges = blocks_capped(data.len(), min_len, map_max_blocks());
+    let ranges = blocks(data.len(), min_len);
     if ranges.len() <= 1 {
         f(0, data);
         return;
@@ -299,7 +281,7 @@ where
         return;
     }
     let nchunks = data.len().div_ceil(chunk);
-    let ranges = blocks_capped(nchunks, 1, map_max_blocks());
+    let ranges = blocks(nchunks, 1);
     if ranges.len() <= 1 {
         for (i, c) in data.chunks_mut(chunk).enumerate() {
             f(i, c);
@@ -533,8 +515,8 @@ mod tests {
                 emit(n - 1 - i, src[i]);
             }
         });
-        for i in 0..n {
-            assert_eq!(dst[i], (n - 1 - i) as u64);
+        for (i, &d) in dst.iter().enumerate() {
+            assert_eq!(d, (n - 1 - i) as u64);
         }
     }
 

@@ -239,14 +239,12 @@ impl FusionPolicy {
 }
 
 impl Default for FusionPolicy {
-    /// Fan-in cap from the `hal.max_fuse` knob (frozen at 8), clamped to
-    /// the ≥ 2 invariant [`FusionPolicy::new`] asserts. Fusion only
-    /// merges launch overheads — which kernels end up in one node never
-    /// changes any computed value.
+    /// Fuse up to 8 kernels per node. Fusion only merges launch
+    /// overheads — which kernels end up in one node never changes any
+    /// computed value.
     fn default() -> Self {
-        let max_fuse = exa_tune::knob("hal.max_fuse", 8).clamp(2, 1 << 20) as u32;
         FusionPolicy {
-            max_fuse,
+            max_fuse: 8,
             flops_cutoff: f64::INFINITY,
         }
     }

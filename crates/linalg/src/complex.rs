@@ -213,13 +213,11 @@ mod tests {
 
     #[test]
     fn field_axioms_spot_checks() {
-        let z = C64::new(3.0, -4.0);
-        let w = C64::new(-1.0, 2.0);
+        let (a, b, c, d) = (3.0, -4.0, -1.0, 2.0);
+        let z = C64::new(a, b);
+        let w = C64::new(c, d);
         assert!(close(z + w, C64::new(2.0, -2.0)));
-        assert!(close(
-            z * w,
-            C64::new(3.0 * -1.0 - (-4.0) * 2.0, 3.0 * 2.0 + (-4.0) * -1.0)
-        ));
+        assert!(close(z * w, C64::new(a * c - b * d, a * d + b * c)));
         assert!(close(z * C64::ONE, z));
         assert!(close(z + C64::ZERO, z));
         assert!(close(z * z.recip(), C64::ONE));

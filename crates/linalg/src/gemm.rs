@@ -10,30 +10,14 @@ use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use exa_hal::exec;
 
-/// Cache block in the k dimension (frozen default of `linalg.gemm_kblock`).
+/// Cache block in the k dimension.
 const KBLOCK: usize = 64;
-/// Column panel width per parallel task (frozen default of
-/// `linalg.gemm_jpanel`).
+/// Column panel width per parallel task.
 const JPANEL: usize = 8;
 /// Cache block in the m (row) dimension: one `MB`-row tile of a C column
 /// (2 KiB at f64) stays L1-resident across a whole k-block instead of
-/// streaming the full column once per k iteration (frozen default of
-/// `linalg.gemm_mb`).
+/// streaming the full column once per k iteration.
 const MB: usize = 256;
-
-/// The three blocking knobs, resolved per GEMM call (an env lookup —
-/// noise next to the multiply) so tuned-vs-frozen comparisons can flip
-/// the overrides within one process. Re-blocking only reorders
-/// independent axpy spans — every C element still accumulates its k
-/// terms in ascending order — so any values are bit-identical to the
-/// frozen constants.
-fn gemm_blocking() -> (usize, usize, usize) {
-    (
-        exa_tune::knob("linalg.gemm_kblock", KBLOCK).max(1),
-        exa_tune::knob("linalg.gemm_jpanel", JPANEL).max(1),
-        exa_tune::knob("linalg.gemm_mb", MB).max(1),
-    )
-}
 
 /// General matrix multiply: `c ← alpha * a * b + beta * c`.
 ///
@@ -53,11 +37,9 @@ pub fn gemm<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &mut 
     let b_data = b.as_slice();
     let c_cols = c.as_mut_slice();
 
-    let (kblock, jpanel, mb) = gemm_blocking();
-
-    // Each panel of `jpanel` columns of C is independent.
-    exec::par_chunks_mut(c_cols, m * jpanel, |panel, c_panel| {
-        let j0 = panel * jpanel;
+    // Each panel of `JPANEL` columns of C is independent.
+    exec::par_chunks_mut(c_cols, m * JPANEL, |panel, c_panel| {
+        let j0 = panel * JPANEL;
         let ncols = c_panel.len() / m;
         // Scale C by beta once.
         for x in c_panel.iter_mut() {
@@ -69,12 +51,12 @@ pub fn gemm<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &mut 
         // so results are bit-identical to the unblocked kernel.
         let mut k0 = 0;
         while k0 < k {
-            let kend = (k0 + kblock).min(k);
+            let kend = (k0 + KBLOCK).min(k);
             for (jj, c_col) in c_panel.chunks_mut(m).enumerate().take(ncols) {
                 let j = j0 + jj;
                 let mut i0 = 0;
                 while i0 < m {
-                    let iend = (i0 + mb).min(m);
+                    let iend = (i0 + MB).min(m);
                     let c_blk = &mut c_col[i0..iend];
                     for kk in k0..kend {
                         let bkj = alpha * b_data[kk + j * k];

@@ -120,7 +120,7 @@ mod tests {
         assert_eq!(two + S::zero(), two);
         assert_eq!(two * S::one(), two);
         assert_eq!(two * three, S::from_f64(6.0));
-        assert_eq!((two - two).abs(), 0.0);
+        assert_eq!((three - two - S::one()).abs(), 0.0);
         assert!((S::from_f64(-5.0).abs() - 5.0).abs() < 1e-12);
     }
 

@@ -28,14 +28,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use workpool::ThreadPool;
 
-/// Target pool-task count per compute phase (`sched.task_chunks` knob,
-/// frozen at 64). Pure load-balance granularity: the per-rank outcome
-/// table is positional, so any value yields identical results. Resolved
-/// per phase so tuned-vs-frozen comparisons can flip the env override
-/// within one process.
-fn task_chunks() -> usize {
-    exa_tune::knob("sched.task_chunks", 64).max(1)
-}
+/// Target pool-task count per compute phase. Pure load-balance
+/// granularity: the per-rank outcome table is positional, so any value
+/// yields identical results.
+const TASK_CHUNKS: usize = 64;
 
 /// One span recorded by a rank inside a compute phase, in rank-local
 /// virtual time.
@@ -296,10 +292,10 @@ impl RankScheduler {
         // Rank-indexed outcome table: (elapsed virtual time, span log).
         let mut outs: Vec<(SimTime, Vec<RankEvent>)> = Vec::new();
         outs.resize_with(p, || (SimTime::ZERO, Vec::new()));
-        // Chunk ranks into at most `sched.task_chunks` pool tasks (frozen
-        // at 64); the chunking affects only load balance, never results
-        // (the table is positional).
-        let chunk = p.div_ceil(task_chunks()).max(1);
+        // Chunk ranks into at most `TASK_CHUNKS` pool tasks; the chunking
+        // affects only load balance, never results (the table is
+        // positional).
+        let chunk = p.div_ceil(TASK_CHUNKS).max(1);
         // Wall-clock phase marking (observer attached only): the window
         // from here to the end of the scope is the fan-out (ranks in
         // flight); the gap since the previous phase ended is idle.

@@ -28,17 +28,11 @@ struct Shard<V> {
 /// per worker, rounded up to a power of two and clamped to `[1, 64]` —
 /// enough spread that concurrent batches rarely contend on one shard's
 /// recency clock, without fragmenting capacity at small thread counts.
-/// The `serve.shards` knob overrides the heuristic outright when a
-/// tuned table (or `EXA_TUNE_SERVE_SHARDS`) pins a positive value.
 ///
 /// Shard count never changes *what* is answered — keys hash to shards
 /// deterministically and eviction is per shard — it only moves the
 /// occupancy/eviction boundaries, which the RED metrics surface.
 pub fn auto_shards(threads: usize) -> usize {
-    let pinned = exa_tune::knob_i64("serve.shards", 0);
-    if pinned > 0 {
-        return pinned as usize;
-    }
     (threads.max(1) * 4).next_power_of_two().clamp(1, 64)
 }
 

@@ -59,8 +59,7 @@ pub struct ServeConfig {
     /// [`workpool::default_threads`].
     pub threads: usize,
     /// Cache shard count; 0 auto-sizes from the resolved thread count
-    /// via [`crate::cache::auto_shards`] (overridable through the
-    /// `serve.shards` knob).
+    /// via [`crate::cache::auto_shards`].
     pub shards: usize,
     /// Entries per cache shard.
     pub capacity_per_shard: usize,

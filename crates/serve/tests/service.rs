@@ -28,7 +28,10 @@ fn mixed_workload() -> Vec<Vec<String>> {
     vec![batch1, batch2]
 }
 
-fn run_workload(threads: usize) -> (CampaignService, Vec<Vec<(CacheStatus, Option<u64>)>>) {
+/// Per batch, per query: cache status and the answer's digest.
+type BatchOutcomes = Vec<Vec<(CacheStatus, Option<u64>)>>;
+
+fn run_workload(threads: usize) -> (CampaignService, BatchOutcomes) {
     let config = ServeConfig {
         threads,
         ..ServeConfig::default()

@@ -82,7 +82,7 @@ fn concurrent(round: usize) -> (String, String, Arc<PoolTelemetry>) {
             s.spawn(move || {
                 barrier.wait();
                 for (i, (name, cat, start, end)) in track_spans(t).into_iter().enumerate() {
-                    if (i + t + round) % 3 == 0 {
+                    if (i + t + round).is_multiple_of(3) {
                         std::thread::yield_now();
                     }
                     collector.metrics(|m| m.hist_record("emit.dur_s", (end - start).secs()));

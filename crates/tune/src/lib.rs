@@ -5,20 +5,19 @@
 //! for every device generation (Ginkgo's HIP port and CRK-HACC's SYCL
 //! port both report work-group re-tuning as a central porting cost).
 //! This crate is that search, reproduced for the simulator's own knobs —
-//! every hard-coded performance constant that accumulated across PRs:
+//! the two performance settings whose best value actually differs
+//! between configurations:
 //!
-//! | knob key             | frozen | consumer                              |
-//! |----------------------|--------|---------------------------------------|
-//! | `fft.gather`         | 0      | executed FFT repartition strategy     |
-//! | `fft.line_batch`     | 1      | executed FFT lines per butterfly batch|
-//! | `fft.overlap_k`      | 4      | `DistFft3d` pipeline depth            |
-//! | `linalg.gemm_kblock` | 64     | GEMM k-dimension cache block          |
-//! | `linalg.gemm_jpanel` | 8      | GEMM column panel per task            |
-//! | `linalg.gemm_mb`     | 256    | GEMM row block                        |
-//! | `hal.max_fuse`       | 8      | default fusion group size             |
-//! | `exec.max_blocks`    | 64     | map-path block-count clamp            |
-//! | `sched.task_chunks`  | 64     | rank-scheduler steal granularity      |
-//! | `serve.shards`       | 0 (auto) | `ShardedLru` shard count            |
+//! | knob key        | frozen | consumer                          |
+//! |-----------------|--------|-----------------------------------|
+//! | `fft.gather`    | 0      | executed FFT repartition strategy |
+//! | `fft.overlap_k` | 4      | `DistFft3d` pipeline depth        |
+//!
+//! Every other performance setting is a plain constant next to its
+//! consumer (GEMM blocking, fusion fan-in, map block clamp, scheduler
+//! task chunks), or is worked out by the code itself (`auto_shards`
+//! sizes the serve cache from the thread count, and the executed FFT
+//! hands each rank's whole part to `fft_batch` in one call).
 //!
 //! The tuner pipeline is **enumerate → cost-prune → executed-confirm →
 //! persist** (DESIGN.md §14):
@@ -35,10 +34,15 @@
 //!    (`EXA_TUNE_FFT_GATHER=1`), falling back to the frozen constants
 //!    when absent.
 //!
-//! Every consumer keeps its frozen constant as the fallback, and every
-//! tuned code path is bit-identical to its frozen twin on all physics
-//! outputs — the knobs only reorder *independent* work (gather order,
-//! block shapes, task granularity), never a floating-point reduction.
+//! Bad configuration fails loudly: a malformed `TUNED.json`, an
+//! `EXA_TUNED` path that does not exist and an unparsable `EXA_TUNE_*`
+//! value all panic with a message naming the file or the variable. Only
+//! a missing `./TUNED.json` means the frozen constants.
+//!
+//! Every tuned code path is bit-identical to its frozen twin on all
+//! physics outputs — the knobs only reorder *independent* work (gather
+//! order) or reshape the costed pipeline, never a floating-point
+//! reduction.
 
 mod table;
 mod tuner;

@@ -2,6 +2,7 @@
 //! process-wide cached loading, and the per-knob resolution order
 //! **env override → table → frozen constant**.
 
+use exa_telemetry::{parse_json, JsonValue};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -62,83 +63,101 @@ impl TunedTable {
         out
     }
 
-    /// Parse the exact shape [`TunedTable::to_json`] writes (plus benign
-    /// whitespace variations). Returns `None` on anything malformed —
-    /// a corrupt table must degrade to the frozen constants, never panic.
-    pub fn from_json(text: &str) -> Option<Self> {
-        let mut table = TunedTable::default();
-        let mut in_knobs = false;
-        for raw in text.lines() {
-            let line = raw.trim().trim_end_matches(',');
-            if line.starts_with("\"knobs\"") {
-                in_knobs = true;
-                continue;
-            }
-            if in_knobs {
-                if line.starts_with('}') {
-                    in_knobs = false;
-                    continue;
-                }
-                let (k, v) = parse_pair(line)?;
-                table.knobs.insert(k.to_string(), v.parse().ok()?);
-            } else if let Some((k, v)) = parse_pair(line) {
-                match k {
-                    "seed" => table.seed = v.parse().ok()?,
-                    "machine" => table.machine = v.trim_matches('"').to_string(),
-                    "version" | "knobs" => {}
-                    _ => {}
-                }
-            }
+    /// Parse a table document. Anything malformed is an error naming
+    /// the offending field: a corrupt table must never pass for the
+    /// frozen constants.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let doc = parse_json(text)?;
+        match doc.get("version").and_then(JsonValue::as_u64) {
+            Some(1) => {}
+            _ => return Err("\"version\" must be 1".to_string()),
         }
-        Some(table)
+        let seed = doc
+            .get("seed")
+            .and_then(JsonValue::as_u64)
+            .filter(|&s| s <= MAX_EXACT)
+            .ok_or("\"seed\" must be an integer in [0, 2^53]")?;
+        let machine = doc
+            .get("machine")
+            .and_then(JsonValue::as_str)
+            .ok_or("\"machine\" must be a string")?;
+        let Some(JsonValue::Obj(entries)) = doc.get("knobs") else {
+            return Err("\"knobs\" must be an object".to_string());
+        };
+        let mut table = TunedTable::new(seed, machine);
+        for (key, value) in entries {
+            let v = value
+                .as_f64()
+                .filter(|x| x.fract() == 0.0 && x.abs() <= MAX_EXACT as f64)
+                .ok_or_else(|| format!("knob \"{key}\" must be an integer"))?;
+            table.set(key, v as i64);
+        }
+        Ok(table)
     }
 }
 
-/// Split a `"key": value` line into `(key, value)`.
-fn parse_pair(line: &str) -> Option<(&str, &str)> {
-    let (k, v) = line.split_once(':')?;
-    Some((k.trim().trim_matches('"'), v.trim()))
+/// JSON numbers are doubles: integers round-trip exactly up to 2^53.
+const MAX_EXACT: u64 = 1 << 53;
+
+/// Load the table at `path`. With `required` unset a missing file is the
+/// empty table (the frozen constants); every other failure — an
+/// unreadable file, a malformed document — is an error naming the path.
+fn load(path: &str, required: bool) -> Result<TunedTable, String> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => TunedTable::from_json(&text).map_err(|e| format!("{path}: {e}")),
+        Err(e) if !required && e.kind() == std::io::ErrorKind::NotFound => {
+            Ok(TunedTable::default())
+        }
+        Err(e) => Err(format!("{path}: {e}")),
+    }
 }
 
-/// The process-wide table: `EXA_TUNED` (explicit path) wins, then
-/// `./TUNED.json`, then the empty table. Loaded once.
+/// The process-wide table, loaded once: the file `EXA_TUNED` names
+/// (which must exist), else `./TUNED.json` if present, else the empty
+/// table.
+///
+/// # Panics
+///
+/// If `EXA_TUNED` names a missing file, or the table file is unreadable
+/// or malformed.
 pub fn tuned() -> &'static TunedTable {
     static TABLE: OnceLock<TunedTable> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let path = std::env::var("EXA_TUNED").unwrap_or_else(|_| TUNED_FILE.to_string());
-        std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| TunedTable::from_json(&text))
-            .unwrap_or_default()
+        let loaded = match std::env::var("EXA_TUNED") {
+            Ok(path) => load(&path, true),
+            Err(_) => load(TUNED_FILE, false),
+        };
+        loaded.unwrap_or_else(|e| panic!("{e}"))
     })
 }
 
 /// Resolve a knob: `EXA_TUNE_<KEY>` env override (dots become
 /// underscores, uppercased — `fft.gather` → `EXA_TUNE_FFT_GATHER`),
 /// then the loaded table, then the frozen constant.
+///
+/// # Panics
+///
+/// If the override is set but is not an integer, or the table cannot be
+/// loaded.
 pub fn knob_i64(key: &str, frozen: i64) -> i64 {
-    let var = format!(
-        "EXA_TUNE_{}",
-        key.chars()
-            .map(|c| if c == '.' {
-                '_'
-            } else {
-                c.to_ascii_uppercase()
-            })
-            .collect::<String>()
-    );
+    let var = format!("EXA_TUNE_{}", key.replace('.', "_").to_ascii_uppercase());
     if let Ok(v) = std::env::var(&var) {
-        if let Ok(n) = v.trim().parse() {
-            return n;
-        }
+        return v
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{var} = {v:?}: expected an integer"));
     }
     tuned().get(key).unwrap_or(frozen)
 }
 
-/// [`knob_i64`] for the common non-negative `usize` knobs. Negative
-/// table entries fall back to the frozen constant.
+/// [`knob_i64`] for the common non-negative `usize` knobs.
+///
+/// # Panics
+///
+/// As [`knob_i64`], and if the resolved value is negative.
 pub fn knob(key: &str, frozen: usize) -> usize {
-    usize::try_from(knob_i64(key, frozen as i64)).unwrap_or(frozen)
+    let v = knob_i64(key, frozen as i64);
+    usize::try_from(v).unwrap_or_else(|_| panic!("{key} = {v}: expected a non-negative value"))
 }
 
 #[cfg(test)]
@@ -149,8 +168,7 @@ mod tests {
     fn json_round_trips_byte_identically() {
         let mut t = TunedTable::new(42, "frontier");
         t.set("fft.gather", 1);
-        t.set("linalg.gemm_kblock", 64);
-        t.set("exec.max_blocks", 64);
+        t.set("fft.overlap_k", 8);
         let json = t.to_json();
         let back = TunedTable::from_json(&json).expect("parses");
         assert_eq!(back, t);
@@ -166,9 +184,39 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_table_degrades_to_none() {
-        let corrupt = "{\n  \"knobs\": {\n    \"a\": what\n  }\n}\n";
-        assert_eq!(TunedTable::from_json(corrupt), None);
+    fn corrupt_table_is_an_error_naming_the_key() {
+        let table = |value: &str| {
+            format!("{{\"version\": 1, \"seed\": 0, \"machine\": \"m\", \"knobs\": {{\"a\": {value}}}}}")
+        };
+        for bad in ["\"what\"", "1.5", "null"] {
+            let err = TunedTable::from_json(&table(bad)).unwrap_err();
+            assert!(err.contains("\"a\""), "{bad}: {err}");
+        }
+        assert_eq!(
+            TunedTable::from_json(&table("-3")).unwrap().get("a"),
+            Some(-3)
+        );
+        let truncated = "{\n  \"knobs\": {\n    \"a\": what\n  }\n}\n";
+        assert!(TunedTable::from_json(truncated).is_err());
+    }
+
+    #[test]
+    fn malformed_file_is_an_error_naming_the_path() {
+        let path = std::env::temp_dir().join(format!("exa_tune_bad_{}.json", std::process::id()));
+        std::fs::write(&path, "{\"version\": 1,").unwrap();
+        let path = path.to_str().unwrap().to_string();
+        for required in [false, true] {
+            let err = load(&path, required).unwrap_err();
+            assert!(err.contains(&path), "{err}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn missing_file_is_empty_unless_required() {
+        let path = "no_such_dir/TUNED.json";
+        assert_eq!(load(path, false), Ok(TunedTable::default()));
+        assert!(load(path, true).unwrap_err().contains(path));
     }
 
     #[test]

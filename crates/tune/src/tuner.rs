@@ -10,7 +10,7 @@ use crate::table::TunedTable;
 /// One knob's search space.
 #[derive(Debug, Clone)]
 pub struct KnobSpec {
-    /// Knob key as consumers resolve it (`fft.gather`, `linalg.gemm_kblock`, ...).
+    /// Knob key as consumers resolve it (`fft.gather`, `fft.overlap_k`).
     pub key: String,
     /// Today's hard-coded constant — the fallback and the baseline.
     pub frozen: i64,
@@ -219,20 +219,6 @@ impl Tuner {
             winner,
         });
         self.reports.last().expect("just pushed")
-    }
-
-    /// Record a winner directly without searching — for knobs whose
-    /// value is derived rather than searched (e.g. `serve.shards`
-    /// auto-sized from the thread count).
-    pub fn pin(&mut self, key: &str, value: i64) {
-        self.table.set(key, value);
-        self.reports.push(KnobReport {
-            key: key.to_string(),
-            frozen: value,
-            costs: Vec::new(),
-            confirmed: Vec::new(),
-            winner: value,
-        });
     }
 
     /// Finish the run.

@@ -49,7 +49,6 @@ proptest! {
                     KnobSpec::new(&format!("prop.k{i}"), 64, &[8, 16, 32, 48, 64, 96], 3);
                 tuner.tune(&spec, &mut NoisyQuad { best, walls: walls.to_vec(), calls: 0 });
             }
-            tuner.pin("prop.pinned", 0);
             tuner.finish()
         };
         let a = run(&walls_a);

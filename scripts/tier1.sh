@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification flow.
 #
-#   1. release build of the whole workspace, then `cargo clippy -D warnings`
-#      (the workspace is lint-clean; keep it that way);
+#   1. release build of the whole workspace, then `cargo clippy
+#      --all-targets -D warnings` over every lib, bin, test, bench and
+#      example (the workspace is lint-clean; keep it that way);
 #   2. full test suite (unit + integration + property) of every crate in
 #      the workspace, release and debug builds (see 6);
 #   3. telemetry export: `profile_export` re-drives the instrumented Pele /
@@ -38,12 +39,12 @@
 #   9. formatting: `cargo fmt --all -- --check` keeps the workspace
 #      byte-stable under rustfmt, next to the clippy wall;
 #  10. autotuner: the `autotune` bench runs the exa-tune pipeline over
-#      every knob, proves TUNED.json is byte-identical across 1- and
-#      4-thread confirmation pools, gates >= 1.25x measured wall on the
-#      1024-rank 128^3 executed FFT round trip and its repartition
-#      (transpose) cycle with bit-identical output, records the 4096-rank
-#      DNS window against a no-dilution floor, and guards the untouched
-#      Pele/GEMM paths; every BENCH_* write also appends a timestamped
+#      its two knobs (`fft.gather`, `fft.overlap_k`), proves TUNED.json is
+#      byte-identical across 1- and 4-thread confirmation pools, gates
+#      >= 1.25x measured wall on the 1024-rank 128^3 executed FFT round
+#      trip and its repartition (transpose) cycle with bit-identical
+#      output, and records the 4096-rank DNS window against a
+#      no-dilution floor; every BENCH_* write also appends a timestamped
 #      line to BENCH_HISTORY.jsonl, schema-checked below;
 #  11. campaign service: `campaign_load` replays a zipf mix of 1M queries
 #      over the eight Table-2 apps through the memoized `exa-serve` engine,
@@ -61,7 +62,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo clippy --workspace --release -- -D warnings
+cargo clippy --workspace --release --all-targets -- -D warnings
 cargo fmt --all -- --check
 for threads in 1 4; do
     EXA_THREADS=$threads cargo test -q --workspace --release
@@ -189,15 +190,21 @@ check_autotune() {
     num_ok "$transpose" '>=' 1.25 || fail "autotuned transpose speedup $transpose < 1.25" || return 1
     dns=$(json_num "$1" speedup_dns)
     num_ok "$dns" '>=' 1.05 || fail "autotuned DNS window ratio $dns < 1.05" || return 1
+    if grep -q '"bit_identical": false' "$1"; then
+        fail "$1 has a path whose tuned output is not bit-identical" || return 1
+    fi
     bits=$(grep -c '"bit_identical": true' "$1")
-    [ "$bits" -ge 5 ] || fail "only $bits bit-identical paths in $1 (need 5)" || return 1
+    [ "$bits" -ge 3 ] || fail "only $bits bit-identical paths in $1 (need 3)" || return 1
 }
 
 check_tuned_table() {
+    local keys
     grep -q '"knobs"' "$1" || fail "$1 carries no knob table" || return 1
-    grep -q '"fft.gather"' "$1" || fail "$1 is missing the fft.gather knob" || return 1
-    grep -q '"serve.shards": 0' "$1" \
-        || fail "serve.shards must persist as 0 (auto) for thread-count purity" || return 1
+    # Exactly the two searched knobs, one per line inside "knobs".
+    keys=$(awk '/"knobs"/ { on = 1; next } on && /}/ { on = 0 }
+        on { split($0, kv, "\""); print kv[2] }' "$1" | tr '\n' ' ')
+    [ "$keys" = "fft.gather fft.overlap_k " ] \
+        || fail "$1 knobs are [$keys], expected exactly fft.gather and fft.overlap_k" || return 1
 }
 
 check_bench_history() {
