@@ -260,9 +260,15 @@ impl Gests {
     /// chunks (frozen at 4) so the Slingshot all-to-alls hide behind the
     /// FFT stages; the autotuner searches the depth against the costed
     /// transform's virtual time.
+    ///
+    /// # Panics
+    ///
+    /// If `fft.overlap_k` resolves to 0: a pipeline needs at least one
+    /// chunk, and a bad setting must not silently become another value.
     pub fn frontier_target() -> PsdnsRun {
-        PsdnsRun::new(32_768, cal::FRONTIER_NODES as usize * 8, Decomp::Pencils)
-            .with_overlap(exa_tune::knob("fft.overlap_k", 4).max(1))
+        let k = exa_tune::knob("fft.overlap_k", 4);
+        assert!(k >= 1, "fft.overlap_k = {k}: expected at least 1 chunk");
+        PsdnsRun::new(32_768, cal::FRONTIER_NODES as usize * 8, Decomp::Pencils).with_overlap(k)
     }
 }
 

@@ -1,39 +1,22 @@
 //! Autotuner headline benchmark.
 //!
 //! Runs the full `exa-tune` pipeline — enumerate → cost-prune →
-//! executed-confirm → persist — over the two knobs whose best value
-//! differs between configurations (`fft.gather`, `fft.overlap_k`), then
-//! proves three things about the result:
-//!
-//! * **Seed purity** — the tuner is run twice, its confirmation
-//!   micro-runs driven once by a 1-thread and once by a 4-thread rank
-//!   scheduler. The two `TUNED.json` renderings must be byte-identical:
-//!   winners are picked only by deterministic metrics (virtual seconds or
-//!   counted host operations), never by the measured wall clock.
-//! * **Speedup** — the persisted winners must buy ≥ 1.25× measured
-//!   wall-clock on two executed paths, gated on medians of interleaved
-//!   frozen/tuned ratio pairs: the 1024-rank 128³ distributed FFT round
-//!   trip, and the repartition (spectral transpose) cycle on the same
-//!   footprint — the all-to-all phase the paper identifies as the
-//!   exascale FFT bottleneck, where the win is structural (~2×). The
-//!   full GESTS DNS step window (forward → spectral advance → inverse)
-//!   at the 4096-rank strong-scaling limit rides along as a third
-//!   recorded path: its ~1.3× improvement is real but sits too close to
-//!   the hard threshold under shared-host noise, so it gates only
-//!   against a no-dilution floor.
-//! * **Bit identity** — tuned execution is bitwise-equal to frozen on
-//!   every physics output, virtual clock and communication tally.
+//! executed-confirm → persist — over the one knob whose best value
+//! differs between configurations (`fft.overlap_k`), then proves the
+//! result is **seed-pure**: the tuner runs twice and the two `TUNED.json`
+//! renderings must be byte-identical, because winners are picked only by
+//! the deterministic metric (virtual seconds from the machine model),
+//! never by the measured wall clock.
 //!
 //! The winning table is persisted to `TUNED.json` at the repo root
-//! (consulted by `ExecutedFft3d::tuned` and `Gests::frontier_target` at
-//! construction time); the gate record lands in `BENCH_autotune.json`.
+//! (consulted by `Gests::frontier_target` at construction time); the gate
+//! record lands in `BENCH_autotune.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use exa_apps::gests_exec::{dns_step_window, DnsStep};
 use exa_bench::write_root_json;
-use exa_fft::{Decomp, DistFft3d, DistGrid, ExecutedFft3d, GatherStrategy, C64};
-use exa_machine::{GpuModel, MachineModel, SimTime};
-use exa_mpi::{Comm, Network, RankScheduler};
+use exa_fft::{Decomp, DistFft3d};
+use exa_machine::MachineModel;
+use exa_mpi::{Comm, Network};
 use exa_tune::{ConfirmOutcome, KnobSpec, Probe, TuneReport, Tuner};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -45,116 +28,6 @@ use std::time::Instant;
 /// randomness — the same seed (or any other) yields the same bytes.
 const SEED: u64 = 0x0e5a_717e;
 const MACHINE: &str = "frontier";
-/// Interleaved frozen/tuned ratio pairs per gated path.
-const REPS: usize = 9;
-/// Required median speedup on each hard-gated path.
-const SPEEDUP_REQUIRED: f64 = 1.25;
-/// The recorded DNS window must at least clear this floor — the tuned
-/// plan may not dilute the application path even when the gather win is
-/// partially masked by the spectral advance.
-const DNS_FLOOR: f64 = 1.05;
-/// Footprint of the gated FFT paths: a 128³ grid (32 MiB of complex
-/// field — memory-bound, where the repartition gather dominates the
-/// round trip). The round trip runs over 1024 ranks; the DNS window
-/// over 4096 — the strong-scaling limit of four pencil lines per rank,
-/// where the per-element gather is at its worst.
-const GATE_N: usize = 128;
-const GATE_RANKS: usize = 1024;
-const DNS_RANKS: usize = 4096;
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    xs[xs.len() / 2]
-}
-
-/// Deterministic dense field for the executed FFT micro-runs and gates
-/// (splitmix-hashed per index — the values are irrelevant to timing, the
-/// bit-identity checks only need them reproducible).
-fn test_field(n: usize) -> Vec<C64> {
-    let mut field = Vec::with_capacity(n * n * n);
-    for i in 0..n * n * n {
-        let mut z = (i as u64).wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
-        field.push(C64::new(2.0 * u - 1.0, 0.0));
-    }
-    field
-}
-
-fn frontier_comm(ranks: usize) -> Comm {
-    Comm::new(ranks, Network::from_machine(&MachineModel::frontier()))
-}
-
-fn frontier_gpu() -> GpuModel {
-    MachineModel::frontier().node.gpu().clone()
-}
-
-fn bits(data: &[C64]) -> Vec<(u64, u64)> {
-    data.iter()
-        .map(|z| (z.re.to_bits(), z.im.to_bits()))
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Probes: one per searched knob. `cost` is the cheap deterministic model
-// used for pruning; `confirm` actually executes a micro-run (wall clock
-// recorded) while reporting a deterministic figure of merit that alone
-// picks the winner.
-// ---------------------------------------------------------------------
-
-/// `fft.gather` — repartition gather strategy. Virtual time is identical
-/// for both strategies by construction (the transpose charges the same
-/// all-to-all volumes), so the discriminating metric is counted host
-/// operations: the element gather pays a coordinate map + owner division
-/// per element, the run gather one probe per line segment plus a strided
-/// copy per owner run.
-struct GatherProbe<'a> {
-    sched: &'a RankScheduler,
-    n: usize,
-    ranks: usize,
-    field: Vec<C64>,
-}
-
-/// Decode an `fft.gather` candidate; the knob's domain is {0, 1}.
-fn gather(v: i64) -> GatherStrategy {
-    GatherStrategy::from_knob(v).expect("fft.gather candidates are 0 and 1")
-}
-
-impl GatherProbe<'_> {
-    /// Counted host operations for one full round trip (4 repartitions).
-    fn host_ops(&self, v: i64) -> f64 {
-        let n = self.n as f64;
-        let per_repartition = match gather(v) {
-            // map + div + copy per element
-            GatherStrategy::Element => 3.0 * n * n * n,
-            // ~16-op probe per line, ~1 op per copied element
-            GatherStrategy::Run => 16.0 * n * n + n * n * n,
-        };
-        4.0 * per_repartition
-    }
-}
-
-impl Probe for GatherProbe<'_> {
-    fn cost(&mut self, v: i64) -> f64 {
-        self.host_ops(v)
-    }
-    fn confirm(&mut self, v: i64) -> ConfirmOutcome {
-        let plan = ExecutedFft3d::with_tuning(self.n, gather(v));
-        let mut grid = DistGrid::from_global(self.n, self.ranks, &self.field);
-        let mut comm = frontier_comm(self.ranks);
-        let gpu = frontier_gpu();
-        let t0 = Instant::now();
-        plan.forward(self.sched, &mut comm, &gpu, &mut grid);
-        plan.inverse(self.sched, &mut comm, &gpu, &mut grid);
-        let wall_s = t0.elapsed().as_secs_f64();
-        black_box(&grid);
-        ConfirmOutcome {
-            det_units: self.host_ops(v),
-            wall_s,
-        }
-    }
-}
 
 /// `fft.overlap_k` — communication/compute overlap chunks of the costed
 /// paper-scale transform. Here the machine model itself is the
@@ -167,9 +40,10 @@ struct OverlapProbe {
 
 impl OverlapProbe {
     fn virtual_secs(&self, v: i64) -> f64 {
+        let frontier = MachineModel::frontier();
         let plan = DistFft3d::new(self.n, Decomp::Pencils).with_overlap(v.max(1) as usize);
-        let mut comm = frontier_comm(self.ranks);
-        plan.charge_transform(&mut comm, &frontier_gpu()).secs()
+        let mut comm = Comm::new(self.ranks, Network::from_machine(&frontier));
+        plan.charge_transform(&mut comm, frontier.node.gpu()).secs()
     }
 }
 
@@ -187,26 +61,9 @@ impl Probe for OverlapProbe {
     }
 }
 
-// ---------------------------------------------------------------------
-// The tuning run itself.
-// ---------------------------------------------------------------------
-
-/// Run the full knob search with confirmation micro-runs driven by
-/// `sched`. The returned table must not depend on `sched`'s width.
-fn run_tuner(sched: &RankScheduler) -> TuneReport {
+/// Run the full knob search.
+fn run_tuner() -> TuneReport {
     let mut tuner = Tuner::new(SEED, MACHINE).confirm_reps(3);
-    let micro_n = 32;
-    let micro_ranks = 64;
-
-    tuner.tune(
-        &KnobSpec::new("fft.gather", 0, &[0, 1], 2),
-        &mut GatherProbe {
-            sched,
-            n: micro_n,
-            ranks: micro_ranks,
-            field: test_field(micro_n),
-        },
-    );
     tuner.tune(
         &KnobSpec::new("fft.overlap_k", 4, &[2, 4, 8], 3),
         &mut OverlapProbe {
@@ -217,25 +74,6 @@ fn run_tuner(sched: &RankScheduler) -> TuneReport {
     tuner.finish()
 }
 
-// ---------------------------------------------------------------------
-// Gates.
-// ---------------------------------------------------------------------
-
-#[derive(Serialize)]
-struct PathGate {
-    path: String,
-    n: usize,
-    ranks: usize,
-    reps: usize,
-    frozen_median_s: f64,
-    tuned_median_s: f64,
-    /// Median of per-pair frozen/tuned wall ratios (noise-robust on a
-    /// shared machine: each pair sees the same drift).
-    speedup: f64,
-    required: f64,
-    bit_identical: bool,
-}
-
 #[derive(Serialize)]
 struct Record {
     seed: u64,
@@ -243,139 +81,21 @@ struct Record {
     knobs: BTreeMap<String, i64>,
     moved: Vec<String>,
     table_identical: bool,
-    speedup_fft: f64,
-    speedup_transpose: f64,
-    speedup_dns: f64,
-    speedup_required: f64,
-    fft_round_trip: PathGate,
-    transpose_cycle: PathGate,
-    dns_window: PathGate,
     pass: bool,
 }
 
-/// One frozen-vs-tuned FFT round trip outcome: field bits, virtual
-/// times, and the communication tally.
-type FftOutcome = (Vec<(u64, u64)>, SimTime, SimTime, exa_mpi::CommStats);
-
-fn fft_round_trip(sched: &RankScheduler, plan: &ExecutedFft3d, field: &[C64]) -> (FftOutcome, f64) {
-    let mut grid = DistGrid::from_global(GATE_N, GATE_RANKS, field);
-    let mut comm = frontier_comm(GATE_RANKS);
-    let gpu = frontier_gpu();
-    let t0 = Instant::now();
-    let fwd = plan.forward(sched, &mut comm, &gpu, &mut grid);
-    let inv = plan.inverse(sched, &mut comm, &gpu, &mut grid);
-    let wall = t0.elapsed().as_secs_f64();
-    ((bits(&grid.gather_global()), fwd, inv, comm.stats()), wall)
-}
-
-fn transpose_cycle(
-    sched: &RankScheduler,
-    plan: &ExecutedFft3d,
-    field: &[C64],
-) -> (FftOutcome, f64) {
-    let mut grid = DistGrid::from_global(GATE_N, GATE_RANKS, field);
-    let mut comm = frontier_comm(GATE_RANKS);
-    let t0 = Instant::now();
-    let dt = plan.transpose_cycle(sched, &mut comm, &mut grid);
-    let wall = t0.elapsed().as_secs_f64();
-    (
-        (bits(&grid.gather_global()), dt, SimTime::ZERO, comm.stats()),
-        wall,
-    )
-}
-
-fn dns_window(sched: &RankScheduler, plan: &ExecutedFft3d, field: &[C64]) -> (FftOutcome, f64) {
-    let cfg = DnsStep {
-        n: GATE_N,
-        ranks: DNS_RANKS,
-        ..DnsStep::step_1024()
-    };
-    let mut grid = DistGrid::from_global(cfg.n, cfg.ranks, field);
-    let mut comm = frontier_comm(cfg.ranks);
-    let gpu = frontier_gpu();
-    let t0 = Instant::now();
-    let dt = dns_step_window(sched, &mut comm, &gpu, plan, &cfg, &mut grid);
-    let wall = t0.elapsed().as_secs_f64();
-    (
-        (bits(&grid.gather_global()), dt, SimTime::ZERO, comm.stats()),
-        wall,
-    )
-}
-
-/// Gate one executed path: interleaved frozen/tuned pairs, median of
-/// per-pair ratios, plus full-outcome bit identity.
-fn gate_path(
-    label: &str,
-    ranks: usize,
-    required: f64,
-    sched: &RankScheduler,
-    frozen: &ExecutedFft3d,
-    tuned: &ExecutedFft3d,
-    run: impl Fn(&RankScheduler, &ExecutedFft3d, &[C64]) -> (FftOutcome, f64),
-) -> PathGate {
-    let field = test_field(GATE_N);
-    // Warm both paths, and take the bit-identity evidence from the warmup.
-    let (out_frozen, _) = run(sched, frozen, &field);
-    let (out_tuned, _) = run(sched, tuned, &field);
-    let bit_identical = out_frozen == out_tuned;
-
-    // Alternate which plan runs first within each pair so slow drift
-    // (cache state, background load) cancels instead of biasing one side,
-    // and take min-of-2 per side inside each pair: contention spikes on a
-    // shared host only ever inflate a sample, so the min discards them.
-    let best2 = |plan: &ExecutedFft3d| {
-        let a = run(sched, plan, &field).1;
-        run(sched, plan, &field).1.min(a)
-    };
-    let (mut ratios, mut fw, mut tw) = (Vec::new(), Vec::new(), Vec::new());
-    for rep in 0..REPS {
-        let (f, t) = if rep % 2 == 0 {
-            let f = best2(frozen);
-            (f, best2(tuned))
-        } else {
-            let t = best2(tuned);
-            (best2(frozen), t)
-        };
-        ratios.push(f / t);
-        fw.push(f);
-        tw.push(t);
-    }
-    let gate = PathGate {
-        path: label.to_string(),
-        n: GATE_N,
-        ranks,
-        reps: REPS,
-        frozen_median_s: median(&mut fw),
-        tuned_median_s: median(&mut tw),
-        speedup: median(&mut ratios),
-        required,
-        bit_identical,
-    };
-    println!(
-        "autotune gate [{label}]: frozen {:.1} ms, tuned {:.1} ms -> {:.2}x (need {:.2}x), \
-         bit-identical {}",
-        gate.frozen_median_s * 1e3,
-        gate.tuned_median_s * 1e3,
-        gate.speedup,
-        required,
-        gate.bit_identical,
-    );
-    gate
-}
-
 fn bench_autotune(c: &mut Criterion) {
-    // --- Tune twice: confirmation pools of width 1 and 4. Winners come
-    // from deterministic metrics only, so the tables must match bytewise.
-    let report1 = run_tuner(&RankScheduler::with_threads(1));
-    let report4 = run_tuner(&RankScheduler::with_threads(4));
-    let (json1, json4) = (report1.table.to_json(), report4.table.to_json());
-    let table_identical = json1 == json4;
+    // --- Tune twice. Winners come from deterministic metrics only, so
+    // the tables must match bytewise.
+    let (report_a, report) = (run_tuner(), run_tuner());
+    let json = report.table.to_json();
+    let table_identical = report_a.table.to_json() == json;
     assert!(
         table_identical,
         "TUNED.json must be a pure function of the seed"
     );
 
-    for knob in &report4.knobs {
+    for knob in &report.knobs {
         println!(
             "tuned {:>20}: frozen {:>4} -> winner {:>4}  ({} candidates, {} confirmed)",
             knob.key,
@@ -389,15 +109,15 @@ fn bench_autotune(c: &mut Criterion) {
     // --- Persist to the repo root, where `exa_tune::tuned()` finds it
     // for every binary launched from the workspace directory.
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../TUNED.json");
-    std::fs::write(&path, &json4).expect("can write TUNED.json");
+    std::fs::write(&path, &json).expect("can write TUNED.json");
     println!("[wrote {}]", path.display());
 
-    let winners: BTreeMap<String, i64> = report4
+    let winners: BTreeMap<String, i64> = report
         .knobs
         .iter()
         .map(|k| (k.key.clone(), k.winner))
         .collect();
-    let moved: Vec<String> = report4
+    let moved: Vec<String> = report
         .knobs
         .iter()
         .filter(|k| k.winner != k.frozen)
@@ -405,95 +125,22 @@ fn bench_autotune(c: &mut Criterion) {
         .collect();
     println!("moved knobs: {moved:?}");
 
-    // --- Speedup gates on the two executed FFT paths, frozen constants
-    // versus the persisted winners. A 1-wide pool keeps the wall-clock
-    // comparison clean when the host has fewer cores than workers — the
-    // gather win is a per-rank host-work reduction, so it shows up
-    // identically at any pool width.
-    let sched = RankScheduler::with_threads(1);
-    let frozen_plan = ExecutedFft3d::new(GATE_N);
-    let tuned_plan = ExecutedFft3d::with_tuning(
-        GATE_N,
-        gather(winners.get("fft.gather").copied().unwrap_or(0)),
-    );
-    let fft_gate = gate_path(
-        "fft_round_trip",
-        GATE_RANKS,
-        SPEEDUP_REQUIRED,
-        &sched,
-        &frozen_plan,
-        &tuned_plan,
-        fft_round_trip,
-    );
-    let transpose_gate = gate_path(
-        "transpose_cycle",
-        GATE_RANKS,
-        SPEEDUP_REQUIRED,
-        &sched,
-        &frozen_plan,
-        &tuned_plan,
-        transpose_cycle,
-    );
-    let dns_gate = gate_path(
-        "dns_window",
-        DNS_RANKS,
-        DNS_FLOOR,
-        &sched,
-        &frozen_plan,
-        &tuned_plan,
-        dns_window,
-    );
-
-    // Criterion display benches for the headline path.
-    let field = test_field(GATE_N);
-    let mut g = c.benchmark_group("autotune/fft_round_trip_1024r");
+    // Criterion display bench: the whole search must stay cheap to run.
+    let mut g = c.benchmark_group("autotune/search");
     g.sample_size(3);
-    g.bench_function("frozen", |b| {
-        b.iter(|| fft_round_trip(&sched, &frozen_plan, &field).1)
-    });
-    g.bench_function("tuned", |b| {
-        b.iter(|| fft_round_trip(&sched, &tuned_plan, &field).1)
-    });
+    g.bench_function("overlap_k", |b| b.iter(|| black_box(run_tuner())));
     g.finish();
 
-    let pass = table_identical
-        && [&fft_gate, &transpose_gate, &dns_gate]
-            .iter()
-            .all(|g| g.speedup >= g.required && g.bit_identical);
-    let record = Record {
-        seed: SEED,
-        machine: MACHINE.to_string(),
-        knobs: winners,
-        moved,
-        table_identical,
-        speedup_fft: fft_gate.speedup,
-        speedup_transpose: transpose_gate.speedup,
-        speedup_dns: dns_gate.speedup,
-        speedup_required: SPEEDUP_REQUIRED,
-        fft_round_trip: fft_gate,
-        transpose_cycle: transpose_gate,
-        dns_window: dns_gate,
-        pass,
-    };
-    write_root_json("BENCH_autotune", &record);
-
-    assert!(
-        record.fft_round_trip.bit_identical,
-        "tuned FFT must match frozen bitwise"
-    );
-    assert!(
-        record.transpose_cycle.bit_identical,
-        "tuned transpose must match frozen bitwise"
-    );
-    assert!(
-        record.dns_window.bit_identical,
-        "tuned DNS window must match frozen bitwise"
-    );
-    assert!(
-        record.pass,
-        "autotuned paths must clear {SPEEDUP_REQUIRED}x: fft {:.2}x, transpose {:.2}x, \
-         dns {:.2}x (floor {DNS_FLOOR})",
-        record.speedup_fft, record.speedup_transpose, record.speedup_dns,
+    write_root_json(
+        "BENCH_autotune",
+        &Record {
+            seed: SEED,
+            machine: MACHINE.to_string(),
+            knobs: winners,
+            moved,
+            table_identical,
+            pass: table_identical,
+        },
     );
 }
 

@@ -8,14 +8,13 @@
 //! ranks, while the *Pencils* version has a greater upper limit of N² MPI
 //! ranks."
 //!
-//! The math is performed once on the global array (numerically identical to
-//! a local [`crate::fft3d::fft3d`]); *time* is charged per the chosen
-//! decomposition: local FFT stages on each rank's device plus the transpose
-//! all-to-alls on the communicator.
+//! [`DistFft3d`] is a pricing plan: it moves no data, and charges a
+//! transform's *time* per the chosen decomposition — local FFT stages on
+//! each rank's device plus the transpose all-to-alls on the communicator.
+//! The executed counterpart that really distributes and transforms the
+//! grid is [`crate::executed::ExecutedFft3d`].
 
 use crate::fft1d::fft_flops;
-use crate::fft3d::{fft3d, ifft3d};
-use exa_linalg::C64;
 use exa_machine::{DType, GpuModel, KernelProfile, LaunchConfig, SimTime};
 use exa_mpi::{Comm, Overlap};
 
@@ -47,7 +46,8 @@ impl Decomp {
     }
 }
 
-/// A distributed 3-D FFT plan.
+/// A distributed 3-D FFT pricing plan: charges a transform's virtual
+/// time on a communicator without moving any data.
 #[derive(Debug, Clone)]
 pub struct DistFft3d {
     /// Grid size per dimension (N for an N³ problem).
@@ -238,21 +238,6 @@ impl DistFft3d {
         }
         comm.elapsed() - start
     }
-
-    /// Data-carrying forward transform: computes the true 3-D FFT of the
-    /// global array *and* charges the decomposition's cost.
-    pub fn forward(&self, comm: &mut Comm, gpu: &GpuModel, data: &mut [C64]) -> SimTime {
-        assert_eq!(data.len() as u64, self.total_points());
-        fft3d(data, self.n, self.n, self.n);
-        self.charge_transform(comm, gpu)
-    }
-
-    /// Data-carrying inverse transform.
-    pub fn inverse(&self, comm: &mut Comm, gpu: &GpuModel, data: &mut [C64]) -> SimTime {
-        assert_eq!(data.len() as u64, self.total_points());
-        ifft3d(data, self.n, self.n, self.n);
-        self.charge_transform(comm, gpu)
-    }
 }
 
 #[cfg(test)]
@@ -279,36 +264,6 @@ mod tests {
         let plan = DistFft3d::new(n, Decomp::Slabs);
         assert!(plan.supports_ranks(64));
         assert!(!plan.supports_ranks(65));
-    }
-
-    #[test]
-    fn data_path_matches_local_fft_and_round_trips() {
-        let n = 8;
-        let plan = DistFft3d::new(n, Decomp::Pencils);
-        let mut c = comm(4);
-        let g = gpu();
-        let orig: Vec<C64> = (0..n * n * n)
-            .map(|i| C64::new((i % 13) as f64 - 6.0, (i % 7) as f64))
-            .collect();
-        let mut x = orig.clone();
-        plan.forward(&mut c, &g, &mut x);
-
-        let mut reference = orig.clone();
-        fft3d(&mut reference, n, n, n);
-        let err = x
-            .iter()
-            .zip(&reference)
-            .map(|(a, b)| (*a - *b).abs())
-            .fold(0.0, f64::max);
-        assert!(err < 1e-10);
-
-        plan.inverse(&mut c, &g, &mut x);
-        let err = x
-            .iter()
-            .zip(&orig)
-            .map(|(a, b)| (*a - *b).abs())
-            .fold(0.0, f64::max);
-        assert!(err < 1e-10);
     }
 
     #[test]
@@ -394,23 +349,6 @@ mod tests {
                 .charge_transform(&mut co, &gpu());
             let eff = co.stats().overlap_efficiency();
             assert!(eff > 0.0 && eff <= 1.0, "{decomp:?} eff {eff}");
-        }
-    }
-
-    #[test]
-    fn overlapped_forward_is_bit_identical_to_blocking() {
-        let n = 8;
-        let orig: Vec<C64> = (0..n * n * n)
-            .map(|i| C64::new((i % 11) as f64 - 5.0, (i % 5) as f64))
-            .collect();
-        let blocking = DistFft3d::new(n, Decomp::Slabs);
-        let overlapped = blocking.clone().with_overlap(4);
-        let mut xb = orig.clone();
-        let mut xo = orig.clone();
-        blocking.forward(&mut comm(4), &gpu(), &mut xb);
-        overlapped.forward(&mut comm(4), &gpu(), &mut xo);
-        for (a, b) in xb.iter().zip(&xo) {
-            assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
         }
     }
 

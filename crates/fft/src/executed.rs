@@ -1,11 +1,11 @@
 //! Executed (data-carrying) distributed 3-D FFT on the rank scheduler.
 //!
 //! [`crate::dist3d::DistFft3d`] prices the GESTS transform at paper scale
-//! but performs the math once on a *global* array — ranks never hold their
-//! own slice. This module is the executed counterpart: the grid really is
-//! distributed (each rank owns a contiguous range of lines), every 1-D FFT
-//! runs on the owning rank inside a [`RankScheduler`] compute phase, and
-//! the transposes really repartition the data between line layouts. With
+//! but moves no data — ranks never hold their own slice. This module is
+//! the executed counterpart: the grid really is distributed (each rank
+//! owns a contiguous range of lines), every 1-D FFT runs on the owning
+//! rank inside a [`RankScheduler`] compute phase, and the transposes
+//! really repartition the data between line layouts. With
 //! `p ≤ N²` ranks this executes the *Pencils*-style schedule of §3.3 —
 //! every pass transforms complete lines that are local to one rank.
 //!
@@ -30,37 +30,6 @@ use exa_linalg::C64;
 use exa_machine::{GpuModel, SimTime};
 use exa_mpi::{Comm, RankScheduler};
 use exa_telemetry::SpanCat;
-
-/// How a repartition gathers each destination rank's lines
-/// (`fft.gather` knob). Both strategies move the *same elements to the
-/// same places* — the gather is a pure permutation — so they are
-/// interchangeable bit for bit; they differ only in address-computation
-/// cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatherStrategy {
-    /// The frozen baseline: recompute the full coordinate map and owner
-    /// lookup per element.
-    Element,
-    /// Run-hoisted: for a fixed destination line, the source line index
-    /// is affine in the destination offset (`sl = sl0 + off·step`,
-    /// `step ∈ {1, n}`), so the gather walks whole owner runs with one
-    /// owner lookup per run and strided copies inside it. Also reuses
-    /// the previous repartition's buffers as scratch (every element is
-    /// overwritten, so no zeroing is needed).
-    Run,
-}
-
-impl GatherStrategy {
-    /// Decode the `fft.gather` knob value (0 = element, 1 = run); any
-    /// other value is an error naming the knob and the value.
-    pub fn from_knob(v: i64) -> Result<Self, String> {
-        match v {
-            0 => Ok(GatherStrategy::Element),
-            1 => Ok(GatherStrategy::Run),
-            _ => Err(format!("fft.gather = {v}: expected 0 (element) or 1 (run)")),
-        }
-    }
-}
 
 /// Which axis the distributed lines run along. The layout names follow
 /// the transform schedule: a pass along axis `a` requires layout
@@ -138,10 +107,9 @@ pub struct DistGrid {
     /// `parts[r]` holds rank `r`'s lines back to back, `n` points each.
     parts: Vec<Vec<C64>>,
     /// Retired buffers from the previous repartition, reused as the next
-    /// destination under [`GatherStrategy::Run`]. The per-rank split
-    /// depends only on `(n², ranks)`, so the shapes always match, and
-    /// the gather overwrites every element, so stale contents are
-    /// harmless. Never read as data.
+    /// destination. The per-rank split depends only on `(n², ranks)`, so
+    /// the shapes always match, and the gather overwrites every element,
+    /// so stale contents are harmless. Never read as data.
     scratch: Vec<Vec<C64>>,
 }
 
@@ -216,39 +184,22 @@ pub struct ExecutedFft3d {
     /// Fraction of vector-FP64 peak the line FFTs achieve (matches the
     /// costed plan's strided-pass efficiency).
     pub compute_eff: f64,
-    /// Repartition gather strategy (`fft.gather`).
-    gather: GatherStrategy,
 }
 
 impl ExecutedFft3d {
-    /// Plan for an `n³` grid on the frozen element gather — the untuned
-    /// baseline.
+    /// Plan for an `n³` grid.
     pub fn new(n: usize) -> Self {
-        Self::with_tuning(n, GatherStrategy::Element)
-    }
-
-    /// Plan on the persisted knob table: `fft.gather` from `TUNED.json`
-    /// (env-overridable), falling back to the element gather when
-    /// untuned.
-    ///
-    /// # Panics
-    ///
-    /// If `fft.gather` resolves to a value other than 0 or 1.
-    pub fn tuned(n: usize) -> Self {
-        let gather = GatherStrategy::from_knob(exa_tune::knob_i64("fft.gather", 0))
-            .unwrap_or_else(|e| panic!("{e}"));
-        Self::with_tuning(n, gather)
-    }
-
-    /// Plan with an explicit gather strategy — what the autotuner's
-    /// micro-runs and the bench baselines use.
-    pub fn with_tuning(n: usize, gather: GatherStrategy) -> Self {
         assert!(n >= 2);
         ExecutedFft3d {
             n,
             compute_eff: 0.10,
-            gather,
         }
+    }
+
+    /// Alias of [`Self::new`], kept for existing callers: the plan has
+    /// no tunable setting, so the tuned plan is the default plan.
+    pub fn tuned(n: usize) -> Self {
+        Self::new(n)
     }
 
     /// Virtual time one rank spends transforming `lines` local lines.
@@ -302,49 +253,25 @@ impl ExecutedFft3d {
         let split = LineSplit::new(n * n, ranks);
         let from = grid.axis;
         let src = std::mem::take(&mut grid.parts);
-        let mut dst: Vec<Vec<C64>> = match self.gather {
-            // Frozen baseline: fresh zeroed buffers every repartition.
-            GatherStrategy::Element => (0..ranks)
+        // Reuse the previous repartition's retired buffers: shapes depend
+        // only on (n², ranks), and the gather writes every element, so
+        // neither zeroing nor reallocation is needed after the first use.
+        let scr = std::mem::take(&mut grid.scratch);
+        let mut dst = if scr.len() == ranks
+            && scr
+                .iter()
+                .enumerate()
+                .all(|(r, v)| v.len() == split.count(r) * n)
+        {
+            scr
+        } else {
+            (0..ranks)
                 .map(|r| vec![C64::ZERO; split.count(r) * n])
-                .collect(),
-            // Tuned: reuse the previous repartition's retired buffers —
-            // shapes depend only on (n², ranks), and the gather writes
-            // every element, so neither zeroing nor reallocation is
-            // needed after the first use.
-            GatherStrategy::Run => {
-                let scr = std::mem::take(&mut grid.scratch);
-                if scr.len() == ranks
-                    && scr
-                        .iter()
-                        .enumerate()
-                        .all(|(r, v)| v.len() == split.count(r) * n)
-                {
-                    scr
-                } else {
-                    (0..ranks)
-                        .map(|r| vec![C64::ZERO; split.count(r) * n])
-                        .collect()
-                }
-            }
+                .collect()
         };
         let src_ref = &src;
-        let gather = self.gather;
         sched.compute_phase(comm, &mut dst, |ctx, buf| {
-            let d = ctx.rank();
-            match gather {
-                GatherStrategy::Element => {
-                    let start = split.start(d);
-                    for li in 0..split.count(d) {
-                        for off in 0..n {
-                            let (i0, i1, i2) = to.coords(n, start + li, off);
-                            let (sl, so) = from.index(n, i0, i1, i2);
-                            let s = split.owner(sl);
-                            buf[li * n + off] = src_ref[s][(sl - split.start(s)) * n + so];
-                        }
-                    }
-                }
-                GatherStrategy::Run => gather_runs(n, &split, from, to, src_ref, d, buf),
-            }
+            gather_runs(n, &split, from, to, src_ref, ctx.rank(), buf)
         });
         // Per-peer transpose volume, measured on rank 0's actual reads
         // (the split is near-uniform, so rank 0 is representative).
@@ -360,9 +287,7 @@ impl ExecutedFft3d {
             }
         }
         comm.alltoallv(&peer_bytes);
-        if self.gather == GatherStrategy::Run {
-            grid.scratch = src;
-        }
+        grid.scratch = src;
         grid.parts = dst;
         grid.axis = to;
     }
@@ -402,8 +327,8 @@ impl ExecutedFft3d {
     /// (all-to-all) phase of the transform with the butterfly passes
     /// skipped: initial → axis 1 → axis 0 → axis 1 → initial. Every hop
     /// is a pure permutation, so the grid returns to its starting layout
-    /// bit-for-bit; what remains is exactly the data movement the
-    /// `fft.gather` knob governs, the way the transpose benchmarks of
+    /// bit-for-bit; what remains is exactly the data movement of the
+    /// repartition gathers, the way the transpose benchmarks of
     /// production FFT libraries isolate their all-to-all phase. Returns
     /// the virtual time the cycle took.
     pub fn transpose_cycle(
@@ -462,13 +387,13 @@ impl ExecutedFft3d {
     }
 }
 
-/// Run-hoisted gather of destination rank `d`'s lines
-/// ([`GatherStrategy::Run`]). For every layout transition the schedule
-/// performs, the source line index is affine in the destination offset:
-/// `sl = sl0 + off·step` with `step ∈ {1, n}` and the source offset
-/// constant along the line. That collapses the per-element coordinate
-/// map + owner division into one probe per line (or line segment) and a
-/// strided copy per owner run.
+/// Run-hoisted gather of destination rank `d`'s lines. For every layout
+/// transition the schedule performs, the source line index is affine in
+/// the destination offset: `sl = sl0 + off·step` with `step ∈ {1, n}` and
+/// the source offset constant along the line. That collapses the
+/// per-element coordinate map + owner division into one probe per line
+/// (or line segment) and a strided copy per owner run. The tests check
+/// every transition against a per-element gather, bit for bit.
 fn gather_runs(
     n: usize,
     split: &LineSplit,
@@ -642,6 +567,10 @@ mod tests {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
 
+    fn bits_parts(parts: &[Vec<C64>]) -> Vec<Vec<(u64, u64)>> {
+        parts.iter().map(|p| bits(p)).collect()
+    }
+
     #[test]
     fn scatter_gather_round_trips_all_layouts() {
         let n = 8;
@@ -703,36 +632,56 @@ mod tests {
         assert!(err < 1e-10, "round-trip error {err}");
     }
 
+    /// The reference repartition: recompute the full coordinate map and
+    /// owner lookup for every element, into fresh buffers.
+    fn element_gather(n: usize, from: LineAxis, to: LineAxis, src: &[Vec<C64>]) -> Vec<Vec<C64>> {
+        let split = LineSplit::new(n * n, src.len());
+        (0..src.len())
+            .map(|d| {
+                let start = split.start(d);
+                let mut buf = vec![C64::ZERO; split.count(d) * n];
+                for (li, line) in buf.chunks_mut(n).enumerate() {
+                    for (off, v) in line.iter_mut().enumerate() {
+                        let (i0, i1, i2) = to.coords(n, start + li, off);
+                        let (sl, so) = from.index(n, i0, i1, i2);
+                        let s = split.owner(sl);
+                        *v = src[s][(sl - split.start(s)) * n + so];
+                    }
+                }
+                buf
+            })
+            .collect()
+    }
+
     #[test]
-    fn run_gather_matches_element_gather_all_transitions() {
+    fn every_repartition_matches_the_element_oracle() {
         let n = 8;
         let orig = signal(n, 17);
         // Unaligned rank counts (7, 13, 61) force owner runs that cross
-        // `line % n == 0` segment boundaries in the blocked branch.
-        for ranks in [1, 3, 7, 13, 61, 64] {
+        // `line % n == 0` segment boundaries; 8, 16, 32 and 64 take the
+        // aligned uniform-split branch with 8, 4, 2 and 1 lines per rank.
+        for ranks in [1, 3, 7, 8, 13, 16, 32, 61, 64] {
             let sched = RankScheduler::sequential();
-            let (mut comm_e, _) = setup(ranks);
-            let (mut comm_r, _) = setup(ranks);
-            let mut ge = DistGrid::from_global(n, ranks, &orig);
-            let mut gr = DistGrid::from_global(n, ranks, &orig);
-            let elem = ExecutedFft3d::new(n);
-            let run = ExecutedFft3d::with_tuning(n, GatherStrategy::Run);
-            // Forward and inverse transitions: A2->A1->A0->A1->A2.
+            let (mut comm, _) = setup(ranks);
+            let mut grid = DistGrid::from_global(n, ranks, &orig);
+            let plan = ExecutedFft3d::new(n);
+            // Forward and inverse transitions: A2->A1->A0->A1->A2. From the
+            // second hop on, the destination is the previous hop's stale
+            // scratch, so a missed element would show.
             for to in [
                 LineAxis::Axis1,
                 LineAxis::Axis0,
                 LineAxis::Axis1,
                 LineAxis::Axis2,
             ] {
-                elem.repartition(&sched, &mut comm_e, &mut ge, to);
-                run.repartition(&sched, &mut comm_r, &mut gr, to);
-                assert_eq!(ge.parts, gr.parts, "{ranks} ranks -> {to:?}");
+                let expect = element_gather(n, grid.axis, to, &grid.parts);
+                plan.repartition(&sched, &mut comm, &mut grid, to);
+                assert_eq!(
+                    bits_parts(&grid.parts),
+                    bits_parts(&expect),
+                    "{ranks} ranks -> {to:?}"
+                );
             }
-            assert_eq!(
-                comm_e.stats(),
-                comm_r.stats(),
-                "transpose accounting must not depend on gather strategy"
-            );
         }
     }
 
@@ -740,63 +689,20 @@ mod tests {
     fn transpose_cycle_is_a_bitwise_identity() {
         let n = 8;
         let orig = signal(n, 41);
+        let plan = ExecutedFft3d::new(n);
         for ranks in [1, 7, 13, 64] {
-            for plan in [
-                ExecutedFft3d::new(n),
-                ExecutedFft3d::with_tuning(n, GatherStrategy::Run),
-            ] {
-                let sched = RankScheduler::sequential();
-                let (mut comm, _) = setup(ranks);
-                let mut grid = DistGrid::from_global(n, ranks, &orig);
-                let dt = plan.transpose_cycle(&sched, &mut comm, &mut grid);
-                // A single rank owns everything — no peers, no comm charge.
-                assert!(if ranks > 1 {
-                    dt > SimTime::ZERO
-                } else {
-                    dt == SimTime::ZERO
-                });
-                assert_eq!(grid.axis(), LineAxis::Axis2);
-                assert_eq!(bits(&grid.gather_global()), bits(&orig), "{ranks} ranks");
-            }
-        }
-    }
-
-    #[test]
-    fn tuned_plan_is_bitwise_equal_to_frozen() {
-        let n = 8;
-        let orig = signal(n, 23);
-        for ranks in [5, 13, 64] {
-            let run_plan = |plan: ExecutedFft3d| {
-                let sched = RankScheduler::new();
-                let (mut comm, gpu) = setup(ranks);
-                let mut grid = DistGrid::from_global(n, ranks, &orig);
-                let fwd = plan.forward(&sched, &mut comm, &gpu, &mut grid);
-                let spectrum = grid.gather_global();
-                let inv = plan.inverse(&sched, &mut comm, &gpu, &mut grid);
-                (
-                    bits(&spectrum),
-                    bits(&grid.gather_global()),
-                    fwd,
-                    inv,
-                    comm.stats(),
-                )
-            };
-            let frozen = run_plan(ExecutedFft3d::new(n));
-            let tuned = run_plan(ExecutedFft3d::with_tuning(n, GatherStrategy::Run));
-            assert_eq!(
-                frozen, tuned,
-                "tuned transform must match frozen bit for bit at {ranks} ranks"
-            );
-        }
-    }
-
-    #[test]
-    fn gather_knob_decodes_only_known_values() {
-        assert_eq!(GatherStrategy::from_knob(0), Ok(GatherStrategy::Element));
-        assert_eq!(GatherStrategy::from_knob(1), Ok(GatherStrategy::Run));
-        for bad in [-1, 2, 7] {
-            let err = GatherStrategy::from_knob(bad).unwrap_err();
-            assert!(err.contains("fft.gather") && err.contains(&bad.to_string()));
+            let sched = RankScheduler::sequential();
+            let (mut comm, _) = setup(ranks);
+            let mut grid = DistGrid::from_global(n, ranks, &orig);
+            let dt = plan.transpose_cycle(&sched, &mut comm, &mut grid);
+            // A single rank owns everything — no peers, no comm charge.
+            assert!(if ranks > 1 {
+                dt > SimTime::ZERO
+            } else {
+                dt == SimTime::ZERO
+            });
+            assert_eq!(grid.axis(), LineAxis::Axis2);
+            assert_eq!(bits(&grid.gather_global()), bits(&orig), "{ranks} ranks");
         }
     }
 

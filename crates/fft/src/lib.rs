@@ -10,10 +10,11 @@
 //!   Cooley–Tukey loop it runs elsewhere) and a Bluestein chirp-z fallback for
 //!   general lengths, with inverse and real-input helpers;
 //! * [`mod@fft3d`] — in-memory 3-D transforms, thread-parallel over lines;
-//! * [`dist3d`] — the distributed 3-D FFT at the heart of the GESTS PSDNS
-//!   solver, with both domain decompositions the paper compares: **Slabs**
-//!   (1-D decomposition, one transpose per transform, at most N ranks) and
-//!   **Pencils** (2-D decomposition, two transposes, up to N² ranks);
+//! * [`dist3d`] — the pricing model of the distributed 3-D FFT at the
+//!   heart of the GESTS PSDNS solver, with both domain decompositions the
+//!   paper compares: **Slabs** (1-D decomposition, one transpose per
+//!   transform, at most N ranks) and **Pencils** (2-D decomposition, two
+//!   transposes, up to N² ranks);
 //! * [`executed`] — the *executed* distributed transform: ranks really own
 //!   line slices, FFT passes run concurrently on the work-stealing rank
 //!   scheduler, and transposes really repartition the data — bit-identical
@@ -28,7 +29,7 @@ pub mod real;
 
 pub use dist3d::{Decomp, DistFft3d};
 pub use exa_linalg::C64;
-pub use executed::{DistGrid, ExecutedFft3d, GatherStrategy, LineAxis};
+pub use executed::{DistGrid, ExecutedFft3d, LineAxis};
 pub use fft1d::{dft_naive, fft, ifft};
 pub use fft3d::{fft3d, ifft3d};
 pub use real::{irfft, rfft};

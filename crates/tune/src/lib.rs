@@ -4,20 +4,20 @@
 //! block sizes, launch parameters and pipeline depths were re-searched
 //! for every device generation (Ginkgo's HIP port and CRK-HACC's SYCL
 //! port both report work-group re-tuning as a central porting cost).
-//! This crate is that search, reproduced for the simulator's own knobs —
-//! the two performance settings whose best value actually differs
+//! This crate is that search, reproduced for the simulator's own knob —
+//! the one performance setting whose best value actually differs
 //! between configurations:
 //!
-//! | knob key        | frozen | consumer                          |
-//! |-----------------|--------|-----------------------------------|
-//! | `fft.gather`    | 0      | executed FFT repartition strategy |
-//! | `fft.overlap_k` | 4      | `DistFft3d` pipeline depth        |
+//! | knob key        | frozen | consumer                   |
+//! |-----------------|--------|----------------------------|
+//! | `fft.overlap_k` | 4      | `DistFft3d` pipeline depth |
 //!
 //! Every other performance setting is a plain constant next to its
 //! consumer (GEMM blocking, fusion fan-in, map block clamp, scheduler
 //! task chunks), or is worked out by the code itself (`auto_shards`
-//! sizes the serve cache from the thread count, and the executed FFT
-//! hands each rank's whole part to `fft_batch` in one call).
+//! sizes the serve cache from the thread count, the executed FFT hands
+//! each rank's whole part to `fft_batch` in one call, and its
+//! repartitions always take the run-hoisted gather).
 //!
 //! The tuner pipeline is **enumerate → cost-prune → executed-confirm →
 //! persist** (DESIGN.md §14):
@@ -31,7 +31,7 @@
 //!    [`TunedTable`] at any `EXA_THREADS`;
 //! 4. *persist* winners to `TUNED.json`, which consumers read at
 //!    construction time — env-overridable per knob
-//!    (`EXA_TUNE_FFT_GATHER=1`), falling back to the frozen constants
+//!    (`EXA_TUNE_FFT_OVERLAP_K=8`), falling back to the frozen constants
 //!    when absent.
 //!
 //! Bad configuration fails loudly: a malformed `TUNED.json`, an
@@ -39,10 +39,8 @@
 //! value all panic with a message naming the file or the variable. Only
 //! a missing `./TUNED.json` means the frozen constants.
 //!
-//! Every tuned code path is bit-identical to its frozen twin on all
-//! physics outputs — the knobs only reorder *independent* work (gather
-//! order) or reshape the costed pipeline, never a floating-point
-//! reduction.
+//! The knob only reshapes the costed pipeline, never a floating-point
+//! reduction, so tuning moves no physics bit.
 
 mod table;
 mod tuner;

@@ -132,7 +132,7 @@ pub fn tuned() -> &'static TunedTable {
 }
 
 /// Resolve a knob: `EXA_TUNE_<KEY>` env override (dots become
-/// underscores, uppercased — `fft.gather` → `EXA_TUNE_FFT_GATHER`),
+/// underscores, uppercased — `fft.overlap_k` → `EXA_TUNE_FFT_OVERLAP_K`),
 /// then the loaded table, then the frozen constant.
 ///
 /// # Panics
@@ -167,8 +167,8 @@ mod tests {
     #[test]
     fn json_round_trips_byte_identically() {
         let mut t = TunedTable::new(42, "frontier");
-        t.set("fft.gather", 1);
         t.set("fft.overlap_k", 8);
+        t.set("demo.width", 64);
         let json = t.to_json();
         let back = TunedTable::from_json(&json).expect("parses");
         assert_eq!(back, t);

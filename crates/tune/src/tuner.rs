@@ -10,7 +10,7 @@ use crate::table::TunedTable;
 /// One knob's search space.
 #[derive(Debug, Clone)]
 pub struct KnobSpec {
-    /// Knob key as consumers resolve it (`fft.gather`, `fft.overlap_k`).
+    /// Knob key as consumers resolve it (`fft.overlap_k`).
     pub key: String,
     /// Today's hard-coded constant — the fallback and the baseline.
     pub frozen: i64,

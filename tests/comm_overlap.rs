@@ -1,13 +1,12 @@
 //! Property tests for the communication–computation overlap engine:
 //! split-phase requests charge only the residue, the chunked pipeline never
 //! loses to the blocking schedule, transposed bytes are conserved exactly,
-//! the overlapped FFT is bit-identical to the blocking one, and the
-//! critical-path attribution sees the idle segments actually shrink.
+//! and the critical-path attribution sees the idle segments actually
+//! shrink.
 
 use exaready::apps::gests::PsdnsRun;
 use exaready::apps::pele::diffusion_campaign_profiled;
 use exaready::fft::{Decomp, DistFft3d};
-use exaready::linalg::C64;
 use exaready::machine::{GpuModel, MachineModel, SimTime};
 use exaready::mpi::{collectives, Comm, Network, Overlap};
 use exaready::telemetry::{rank_attribution, TelemetryCollector, TrackKind};
@@ -115,31 +114,6 @@ proptest! {
             .flat_map(|r| plan.transpose_pair_bytes(ranks, group, r))
             .sum();
         prop_assert_eq!(total, payload);
-    }
-}
-
-#[test]
-fn overlapped_forward_is_bit_identical() {
-    let n = 8;
-    let gpu = GpuModel::mi250x_gcd();
-    let orig: Vec<C64> = (0..n * n * n)
-        .map(|i| C64::new((i % 13) as f64 - 6.0, (i % 7) as f64))
-        .collect();
-    for decomp in [Decomp::Slabs, Decomp::Pencils] {
-        let blocking = DistFft3d::new(n, decomp);
-        for k in [1, 2, 4, 8] {
-            let mut xb = orig.clone();
-            let mut xo = orig.clone();
-            blocking.forward(&mut frontier_comm(4), &gpu, &mut xb);
-            blocking
-                .clone()
-                .with_overlap(k)
-                .forward(&mut frontier_comm(4), &gpu, &mut xo);
-            for (a, b) in xb.iter().zip(&xo) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "{decomp:?} K={k}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "{decomp:?} K={k}");
-            }
-        }
     }
 }
 
