@@ -17,6 +17,7 @@
 use crate::fft1d::fft_flops;
 use exa_machine::{DType, GpuModel, KernelProfile, LaunchConfig, SimTime};
 use exa_mpi::{Comm, Overlap};
+use std::ops::Range;
 
 /// Domain decomposition of the N³ grid over ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,15 +152,34 @@ impl DistFft3d {
         }
     }
 
-    /// Chunk `i` of the remote partner list: a contiguous run of exchange
-    /// rounds. Chunking by *partner* (not by slicing every payload) keeps
-    /// the pipeline's total latency at the blocking schedule's `(group−1)·α`
-    /// — a volume slice would re-pay every round's α per chunk and eat the
-    /// overlap gain at scale.
-    fn chunk_pairs(remote: &[u64], chunks: usize, i: usize) -> &[u64] {
-        let lo = i * remote.len() / chunks;
-        let hi = (i + 1) * remote.len() / chunks;
-        &remote[lo..hi]
+    /// Bytes `rank` exchanges with the transpose partners `partners`
+    /// (indices into its [`DistFft3d::transpose_pair_bytes`] list): the
+    /// exact sum of those shares, in closed form — every share holds
+    /// `local / group` bytes and the leading `local % group` one more — so
+    /// pricing never builds the `group`-long pair list.
+    fn partner_bytes(
+        &self,
+        ranks: usize,
+        group: usize,
+        rank: usize,
+        partners: Range<usize>,
+    ) -> u64 {
+        debug_assert!(partners.start <= partners.end && partners.end <= group);
+        let local_bytes = split_bytes(self.total_points() * 16, ranks, rank);
+        let (share, rem) = (local_bytes / group as u64, local_bytes % group as u64);
+        let rem = rem as usize;
+        share * partners.len() as u64 + (partners.end.min(rem) - partners.start.min(rem)) as u64
+    }
+
+    /// Chunk `i` of the `group − 1` remote partners (partner indices
+    /// `1..group`): a contiguous run of exchange rounds. Chunking by
+    /// *partner* (not by slicing every payload) keeps the pipeline's total
+    /// latency at the blocking schedule's `(group−1)·α` — a volume slice
+    /// would re-pay every round's α per chunk and eat the overlap gain at
+    /// scale.
+    fn chunk_partners(group: usize, chunks: usize, i: usize) -> Range<usize> {
+        let remote = group - 1;
+        1 + i * remote / chunks..1 + (i + 1) * remote / chunks
     }
 
     /// Charge one forward (or inverse — same cost) transform on `comm`,
@@ -177,30 +197,36 @@ impl DistFft3d {
         let local = gpu.kernel_time(&self.local_profile(ranks)) + gpu.launch_latency;
         let group = self.transpose_group(ranks);
         // Rank 0 carries the remainder shares, so its schedule paces the
-        // transpose.
-        let pairs = self.transpose_pair_bytes(ranks, group, 0);
-        let remote = &pairs[1..];
+        // transpose: one round per remote partner in the chunk.
+        let exchange = |partners: Range<usize>| {
+            (
+                partners.len(),
+                self.partner_bytes(ranks, group, 0, partners),
+            )
+        };
+        let (peers, bytes) = exchange(1..group);
+        let chunk = |k: usize, i: usize| exchange(Self::chunk_partners(group, k, i));
         match (self.decomp, self.overlap_chunks) {
             (Decomp::Slabs, None) => {
                 // 2-D FFT stage (2/3 of work), global transpose, 1-D stage.
                 comm.advance_all(local * (2.0 / 3.0));
-                comm.alltoallv(remote);
+                comm.alltoallv(peers, bytes);
                 comm.advance_all(local * (1.0 / 3.0));
             }
             (Decomp::Pencils, None) => {
                 // Three 1-D stages with two transposes inside √p-sized
                 // row/column groups.
                 comm.advance_all(local * (1.0 / 3.0));
-                comm.alltoallv_grouped(group, remote);
+                comm.alltoallv_grouped(group, peers, bytes);
                 comm.advance_all(local * (1.0 / 3.0));
-                comm.alltoallv_grouped(group, remote);
+                comm.alltoallv_grouped(group, peers, bytes);
                 comm.advance_all(local * (1.0 / 3.0));
             }
             (Decomp::Slabs, Some(k)) => {
                 // One pipeline: each chunk's partner exchanges fly while the
                 // 2-D stage produces the next chunk and the 1-D stage
                 // consumes the previous one.
-                let k = k.min(remote.len()).max(1);
+                let k = k.min(group - 1).max(1);
                 let (produce, consume) = (
                     local * (2.0 / 3.0) / k as f64,
                     local * (1.0 / 3.0) / k as f64,
@@ -209,7 +235,10 @@ impl DistFft3d {
                     comm,
                     k,
                     |c, _| c.advance_all(produce),
-                    |c, i| c.ialltoallv(Self::chunk_pairs(remote, k, i)),
+                    |c, i| {
+                        let (peers, bytes) = chunk(k, i);
+                        c.ialltoallv(peers, bytes)
+                    },
                     |c, _| c.advance_all(consume),
                 );
             }
@@ -218,20 +247,26 @@ impl DistFft3d {
                 // second pipeline starts every chunk of its payload already
                 // exists, so it only overlaps stage 3 on the consume side.
                 let stage = local * (1.0 / 3.0);
-                let k = k.min(remote.len()).max(1);
+                let k = k.min(group - 1).max(1);
                 let per_chunk = stage / k as f64;
                 Overlap::pipeline(
                     comm,
                     k,
                     |c, _| c.advance_all(per_chunk),
-                    |c, i| c.ialltoallv_grouped(group, Self::chunk_pairs(remote, k, i)),
+                    |c, i| {
+                        let (peers, bytes) = chunk(k, i);
+                        c.ialltoallv_grouped(group, peers, bytes)
+                    },
                     |c, _| c.advance_all(per_chunk),
                 );
                 Overlap::pipeline(
                     comm,
                     k,
                     |_, _| {},
-                    |c, i| c.ialltoallv_grouped(group, Self::chunk_pairs(remote, k, i)),
+                    |c, i| {
+                        let (peers, bytes) = chunk(k, i);
+                        c.ialltoallv_grouped(group, peers, bytes)
+                    },
                     |c, _| c.advance_all(per_chunk),
                 );
             }
@@ -309,14 +344,42 @@ mod tests {
     #[test]
     fn transpose_bytes_are_conserved() {
         // Sum over every rank's pair list == the full grid payload, even for
-        // awkward rank/group combinations that don't divide N³ evenly.
-        for (n, ranks, group) in [(8, 3, 3), (8, 5, 5), (16, 7, 3), (16, 12, 4), (8, 1, 1)] {
+        // awkward rank/group combinations that don't divide N³ evenly; and
+        // the closed-form chunk sums the pricing uses equal the pair-list
+        // slice sums for every chunking.
+        for (n, ranks, group) in [
+            (8, 3, 3),
+            (8, 5, 5),
+            (16, 7, 3),
+            (16, 12, 4),
+            (8, 1, 1),
+            (16, 13, 11),
+            (8, 9, 7),
+        ] {
             let plan = DistFft3d::new(n, Decomp::Pencils);
             let payload = plan.total_points() * 16;
             let total: u64 = (0..ranks)
                 .flat_map(|r| plan.transpose_pair_bytes(ranks, group, r))
                 .sum();
             assert_eq!(total, payload, "n={n} ranks={ranks} group={group}");
+            for r in 0..ranks {
+                let pairs = plan.transpose_pair_bytes(ranks, group, r);
+                assert_eq!(
+                    plan.partner_bytes(ranks, group, r, 0..group),
+                    pairs.iter().sum()
+                );
+                for k in [1, 2, 3, 4, 6] {
+                    let k = k.min(group - 1).max(1);
+                    for i in 0..k {
+                        let partners = DistFft3d::chunk_partners(group, k, i);
+                        assert_eq!(
+                            plan.partner_bytes(ranks, group, r, partners.clone()),
+                            pairs[partners.clone()].iter().sum::<u64>(),
+                            "n={n} ranks={ranks} group={group} rank={r} k={k} chunk={i}"
+                        );
+                    }
+                }
+            }
         }
     }
 

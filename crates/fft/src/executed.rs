@@ -286,7 +286,7 @@ impl ExecutedFft3d {
                 }
             }
         }
-        comm.alltoallv(&peer_bytes);
+        comm.alltoallv(peer_bytes.len(), peer_bytes.iter().sum());
         grid.scratch = src;
         grid.parts = dst;
         grid.axis = to;

@@ -69,19 +69,20 @@ pub fn alltoall_time(net: &Network, p: usize, bytes_per_pair: u64) -> SimTime {
     net.alpha() * rounds + SimTime::from_secs(rounds * bytes_per_pair as f64 * net.beta_global())
 }
 
-/// All-to-all with variable per-pair payloads: pairwise exchange where round
-/// `r` moves `pair_bytes[r]` between this rank and its `r`-th peer, so the
-/// cost is `Σ_r (α + pair_bytes[r] β_global)`. With a uniform payload this
-/// reduces exactly to [`alltoall_time`]; with ragged payloads (non-square
-/// pencil grids) it charges the true volume instead of rounding every round
-/// up to the maximum pair.
-pub fn alltoallv_time(net: &Network, pair_bytes: &[u64]) -> SimTime {
-    if pair_bytes.is_empty() {
+/// All-to-all with variable per-pair payloads: pairwise exchange where
+/// each of a rank's `peers` rounds moves that peer's payload, so the cost
+/// is `Σ_r (α + pair_bytes[r] β_global) = peers · α + bytes · β_global`
+/// with `bytes` the exact sum of the per-peer payloads. Only the peer count
+/// and the sum enter, so callers price a schedule without materialising
+/// its pair list. With a uniform payload this reduces exactly to
+/// [`alltoall_time`]; with ragged payloads (non-square pencil grids) it
+/// charges the true volume instead of rounding every round up to the
+/// maximum pair.
+pub fn alltoallv_time(net: &Network, peers: usize, bytes: u64) -> SimTime {
+    if peers == 0 {
         return SimTime::ZERO;
     }
-    let rounds = pair_bytes.len() as f64;
-    let vol: u64 = pair_bytes.iter().sum();
-    net.alpha() * rounds + SimTime::from_secs(vol as f64 * net.beta_global())
+    net.alpha() * peers as f64 + SimTime::from_secs(bytes as f64 * net.beta_global())
 }
 
 /// Gather to a root (each rank contributes `bytes`): binomial tree with
@@ -197,11 +198,10 @@ mod tests {
         let n = net();
         let p = 64;
         let m = 1 << 16;
-        let pairs = vec![m; p - 1];
-        let v = alltoallv_time(&n, &pairs);
+        let v = alltoallv_time(&n, p - 1, m * (p as u64 - 1));
         let fixed = alltoall_time(&n, p, m);
         assert!((v.secs() - fixed.secs()).abs() / fixed.secs() < 1e-12);
-        assert_eq!(alltoallv_time(&n, &[]), SimTime::ZERO);
+        assert_eq!(alltoallv_time(&n, 0, 0), SimTime::ZERO);
     }
 
     #[test]
@@ -211,7 +211,7 @@ mod tests {
         // charged 63 × big.
         let mut pairs = vec![1u64 << 10; 63];
         pairs[0] = 1 << 20;
-        let v = alltoallv_time(&n, &pairs);
+        let v = alltoallv_time(&n, pairs.len(), pairs.iter().sum());
         let rounded = alltoall_time(&n, 64, 1 << 20);
         assert!(v < rounded);
     }

@@ -87,6 +87,59 @@ pub(crate) struct CommTelemetry {
     pub(crate) tracks: Vec<TrackId>,
 }
 
+/// Per-rank virtual clocks and wait attribution.
+///
+/// A communicator starts in *lockstep*: one `(clock, wait)` pair stands
+/// for every rank, so balanced phases, blocking collectives and
+/// `Participants::All` requests cost O(1) whatever the rank count. The
+/// first operation that touches a single rank (`advance(rank, _)`, `send`,
+/// completing an `isend`/`irecv`) splits it into per-rank vectors copied
+/// bit for bit from the shared pair; only `reset` collapses it again.
+#[derive(Debug)]
+pub(crate) enum Ranks {
+    /// Every rank holds this clock and this accumulated wait.
+    Lockstep { clock: Clock, wait: SimTime },
+    /// One clock and one accumulated wait per rank.
+    Split {
+        clocks: Vec<Clock>,
+        waits: Vec<SimTime>,
+    },
+}
+
+impl Ranks {
+    fn lockstep() -> Self {
+        Ranks::Lockstep {
+            clock: Clock::new(),
+            wait: SimTime::ZERO,
+        }
+    }
+
+    /// The per-rank state, materialised from the shared pair on first use.
+    pub(crate) fn split(&mut self, size: usize) -> (&mut [Clock], &mut [SimTime]) {
+        if let Ranks::Lockstep { clock, wait } = self {
+            let (clocks, waits) = (vec![clock.clone(); size], vec![*wait; size]);
+            *self = Ranks::Split { clocks, waits };
+        }
+        match self {
+            Ranks::Split { clocks, waits } => (clocks, waits),
+            Ranks::Lockstep { .. } => unreachable!("split above"),
+        }
+    }
+
+    /// Apply `f` to every rank's `(clock, wait)`. In lockstep every rank
+    /// would see the same update, so the shared pair takes it once.
+    fn each(&mut self, mut f: impl FnMut(&mut Clock, &mut SimTime)) {
+        match self {
+            Ranks::Lockstep { clock, wait } => f(clock, wait),
+            Ranks::Split { clocks, waits } => {
+                for (c, w) in clocks.iter_mut().zip(waits.iter_mut()) {
+                    f(c, w);
+                }
+            }
+        }
+    }
+}
+
 /// A simulated communicator over `size` ranks.
 ///
 /// Every rank owns a virtual clock. Local compute is charged with
@@ -94,13 +147,16 @@ pub(crate) struct CommTelemetry {
 /// clocks of the ranks involved using the α–β formulas in
 /// [`crate::collectives`]. Data-carrying variants also perform the real data
 /// movement on host memory, so numerical code built on top (the distributed
-/// FFT, the APSP solver, QEq CG) is exactly testable.
+/// FFT, the APSP solver, QEq CG) is exactly testable. Clocks stay in
+/// lockstep (one clock shared by every rank) until an operation touches a
+/// single rank, so cost-only pricing of paper-scale runs never walks the
+/// ranks.
 #[derive(Debug)]
 pub struct Comm {
     pub(crate) net: Network,
-    pub(crate) clocks: Vec<Clock>,
+    size: usize,
+    pub(crate) ranks: Ranks,
     pub(crate) stats: CommStats,
-    pub(crate) waits: Vec<SimTime>,
     pub(crate) telemetry: Option<CommTelemetry>,
     /// The time the fabric finishes its last accepted operation: in-flight
     /// nonblocking traffic serialises here, and later operations cannot
@@ -120,9 +176,9 @@ impl Comm {
         assert!(size >= 1, "communicator needs at least one rank");
         Comm {
             net,
-            clocks: vec![Clock::new(); size],
+            size,
+            ranks: Ranks::lockstep(),
             stats: CommStats::default(),
-            waits: vec![SimTime::ZERO; size],
             telemetry: None,
             net_free: SimTime::ZERO,
             jitter: None,
@@ -201,7 +257,7 @@ impl Comm {
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.clocks.len()
+        self.size
     }
 
     /// The network view.
@@ -214,51 +270,82 @@ impl Comm {
         self.stats
     }
 
+    fn check_rank(&self, rank: usize) {
+        assert!(
+            rank < self.size,
+            "rank {rank} out of range for {} ranks",
+            self.size
+        );
+    }
+
     /// Current virtual time of `rank`.
     pub fn now(&self, rank: usize) -> SimTime {
-        self.clocks[rank].now()
+        self.check_rank(rank);
+        match &self.ranks {
+            Ranks::Lockstep { clock, .. } => clock.now(),
+            Ranks::Split { clocks, .. } => clocks[rank].now(),
+        }
     }
 
     /// Latest clock across ranks — the job's wall time.
     pub fn elapsed(&self) -> SimTime {
-        self.clocks
-            .iter()
-            .map(|c| c.now())
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        match &self.ranks {
+            Ranks::Lockstep { clock, .. } => clock.now(),
+            Ranks::Split { clocks, .. } => clocks
+                .iter()
+                .map(|c| c.now())
+                .max()
+                .unwrap_or(SimTime::ZERO),
+        }
     }
 
     /// Charge local (compute) time to one rank.
     pub fn advance(&mut self, rank: usize, dt: SimTime) {
-        self.clocks[rank].advance(dt);
+        self.ranks.split(self.size).0[rank].advance(dt);
     }
 
     /// Charge the same local time to every rank (perfectly balanced phase).
     pub fn advance_all(&mut self, dt: SimTime) {
-        for c in &mut self.clocks {
+        self.ranks.each(|c, _| {
             c.advance(dt);
-        }
+        });
     }
 
     /// Time `rank` has spent blocked waiting for peers so far.
     pub fn wait(&self, rank: usize) -> SimTime {
-        self.waits[rank]
+        self.check_rank(rank);
+        match &self.ranks {
+            Ranks::Lockstep { wait, .. } => *wait,
+            Ranks::Split { waits, .. } => waits[rank],
+        }
     }
 
     /// The worst per-rank wait — the straggler's victims.
     pub fn max_wait(&self) -> SimTime {
-        self.waits.iter().copied().max().unwrap_or(SimTime::ZERO)
+        match &self.ranks {
+            Ranks::Lockstep { wait, .. } => *wait,
+            Ranks::Split { waits, .. } => waits.iter().copied().max().unwrap_or(SimTime::ZERO),
+        }
+    }
+
+    /// Split the clocks now, as the first per-rank operation would: lets
+    /// tests drive the per-rank path with lockstep-eligible operations.
+    #[cfg(test)]
+    pub(crate) fn force_split(&mut self) {
+        self.ranks.split(self.size);
     }
 
     fn sync_all(&mut self) -> SimTime {
         let t = self.elapsed();
+        // In lockstep every rank already stands at `t`: the single update
+        // adds a zero wait, exactly what each rank's would.
         let mut total = SimTime::ZERO;
-        for (c, w) in self.clocks.iter_mut().zip(self.waits.iter_mut()) {
+        self.ranks.each(|c, w| {
             let dt = t - c.now();
             *w += dt;
             total += dt;
             c.sync_to(t);
-        }
+        });
         self.stats.wait += total;
         t
     }
@@ -267,11 +354,12 @@ impl Comm {
         let cost = self.perturb(cost);
         // Straggler attribution: the ranks already at the collective wait
         // for the last arrival — record that wait per early rank before the
-        // clocks are synchronised away.
+        // clocks are synchronised away. Lockstep ranks all arrive together.
         if self.straggler_spans {
-            if let Some(tel) = self.telemetry.as_ref() {
+            if let (Some(tel), Ranks::Split { clocks, .. }) = (self.telemetry.as_ref(), &self.ranks)
+            {
                 let last = self.elapsed();
-                for (r, c) in self.clocks.iter().enumerate() {
+                for (r, c) in clocks.iter().enumerate() {
                     if c.now() < last {
                         tel.collector.complete(
                             tel.tracks[r],
@@ -290,16 +378,16 @@ impl Comm {
         let start = arrived.max(self.net_free);
         if start > arrived {
             let dt = start - arrived;
-            for (c, w) in self.clocks.iter_mut().zip(self.waits.iter_mut()) {
+            self.ranks.each(|c, w| {
                 *w += dt;
                 c.sync_to(start);
-            }
-            self.stats.wait += dt * self.clocks.len() as f64;
+            });
+            self.stats.wait += dt * self.size as f64;
         }
         let t = start + cost;
-        for c in &mut self.clocks {
+        self.ranks.each(|c, _| {
             c.sync_to(t);
-        }
+        });
         self.stats.collectives += 1;
         self.stats.bytes += bytes;
         if let Some(tel) = self.telemetry.as_ref() {
@@ -315,17 +403,19 @@ impl Comm {
     /// Point-to-point message of `bytes` from `src` to `dst`.
     pub fn send(&mut self, src: usize, dst: usize, bytes: u64) -> SimTime {
         assert!(src != dst, "self-sends are local copies, not messages");
-        let start = self.clocks[src].now().max(self.clocks[dst].now());
+        let p2p = self.net.p2p(bytes);
+        let cost = self.perturb(p2p);
+        let (clocks, waits) = self.ranks.split(self.size);
+        let start = clocks[src].now().max(clocks[dst].now());
         // The endpoint that arrived first blocks until the rendezvous.
         for r in [src, dst] {
-            let dt = start - self.clocks[r].now();
-            self.waits[r] += dt;
+            let dt = start - clocks[r].now();
+            waits[r] += dt;
             self.stats.wait += dt;
         }
-        let p2p = self.net.p2p(bytes);
-        let done = start + self.perturb(p2p);
-        self.clocks[src].sync_to(done);
-        self.clocks[dst].sync_to(done);
+        let done = start + cost;
+        clocks[src].sync_to(done);
+        clocks[dst].sync_to(done);
         self.stats.messages += 1;
         self.stats.bytes += bytes;
         if let Some(tel) = self.telemetry.as_ref() {
@@ -448,32 +538,24 @@ impl Comm {
     }
 
     /// Cost-only all-to-all with variable per-pair payloads as seen by one
-    /// rank: `pair_bytes[r]` is what this rank exchanges with its `r`-th
-    /// remote peer (exclude the resident share). Every rank is assumed to
-    /// run the same schedule, so the charge is one rank's sum of rounds and
-    /// the volume is `Σ pair_bytes × size`.
-    pub fn alltoallv(&mut self, pair_bytes: &[u64]) -> SimTime {
-        assert!(
-            pair_bytes.len() < self.size(),
-            "more peers than remote ranks"
-        );
-        let cost = coll::alltoallv_time(&self.net, pair_bytes);
-        let vol: u64 = pair_bytes.iter().sum::<u64>() * self.size() as u64;
-        self.collective("alltoallv", cost, vol)
+    /// rank: it exchanges `bytes` in total (the exact sum of its per-peer
+    /// payloads, resident share excluded) with `peers` remote peers. Every
+    /// rank is assumed to run the same schedule, so the charge is one
+    /// rank's sum of rounds and the volume is `bytes × size`.
+    pub fn alltoallv(&mut self, peers: usize, bytes: u64) -> SimTime {
+        assert!(peers < self.size(), "more peers than remote ranks");
+        let cost = coll::alltoallv_time(&self.net, peers, bytes);
+        self.collective("alltoallv", cost, bytes * self.size() as u64)
     }
 
     /// [`Comm::alltoallv`] running concurrently inside disjoint groups of
     /// `group` ranks (row/column communicators of a 2-D pencil grid). All
     /// groups proceed in parallel, so the charge is one group's cost.
-    pub fn alltoallv_grouped(&mut self, group: usize, pair_bytes: &[u64]) -> SimTime {
+    pub fn alltoallv_grouped(&mut self, group: usize, peers: usize, bytes: u64) -> SimTime {
         assert!(group >= 1 && group <= self.size());
-        assert!(
-            pair_bytes.len() < group,
-            "more peers than remote group members"
-        );
-        let cost = coll::alltoallv_time(&self.net, pair_bytes);
-        let vol: u64 = pair_bytes.iter().sum::<u64>() * self.size() as u64;
-        self.collective("alltoallv_grouped", cost, vol)
+        assert!(peers < group, "more peers than remote group members");
+        let cost = coll::alltoallv_time(&self.net, peers, bytes);
+        self.collective("alltoallv_grouped", cost, bytes * self.size() as u64)
     }
 
     /// Nearest-neighbour halo exchange performed by every rank at once.
@@ -549,14 +631,10 @@ impl Comm {
         recv
     }
 
-    /// Reset all clocks and statistics (between experiment repetitions).
+    /// Reset all clocks and statistics (between experiment repetitions),
+    /// back into lockstep.
     pub fn reset(&mut self) {
-        for c in &mut self.clocks {
-            c.reset();
-        }
-        for w in &mut self.waits {
-            *w = SimTime::ZERO;
-        }
+        self.ranks = Ranks::lockstep();
         self.stats = CommStats::default();
         self.net_free = SimTime::ZERO;
         // Restart the jitter draw sequence so repetitions replay the same
@@ -838,6 +916,174 @@ mod tests {
         for t in &on.tracks {
             let expect = if t.name == "w/rank2" { 1 } else { 2 };
             assert_eq!(t.spans, expect, "track {}", t.name);
+        }
+    }
+
+    #[test]
+    fn lockstep_ops_never_split_and_per_rank_ops_do() {
+        let mut c = comm(32_768);
+        c.advance_all(SimTime::from_micros(3.0));
+        c.alltoallv_grouped(181, 180, 1 << 20);
+        let req = c.ialltoallv(7, 1 << 16);
+        c.advance_all(SimTime::from_micros(1.0));
+        req.wait(&mut c);
+        c.barrier();
+        assert!(matches!(c.ranks, Ranks::Lockstep { .. }));
+        assert_eq!(c.now(32_767), c.elapsed());
+        c.advance(5, SimTime::from_micros(1.0));
+        assert!(matches!(c.ranks, Ranks::Split { .. }));
+        c.reset();
+        assert!(matches!(c.ranks, Ranks::Lockstep { .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn lockstep_still_checks_the_rank() {
+        comm(4).now(4);
+    }
+
+    /// Everything a caller can observe of a communicator, as bits.
+    fn observed_bits(c: &Comm) -> Vec<u64> {
+        let s = c.stats();
+        let mut bits = vec![
+            c.elapsed().secs().to_bits(),
+            c.max_wait().secs().to_bits(),
+            s.messages,
+            s.bytes,
+            s.collectives,
+            s.wait.secs().to_bits(),
+            s.nonblocking,
+            s.inflight.secs().to_bits(),
+            s.hidden.secs().to_bits(),
+            c.net_free.secs().to_bits(),
+        ];
+        for r in 0..c.size() {
+            bits.push(c.now(r).secs().to_bits());
+            bits.push(c.wait(r).secs().to_bits());
+        }
+        bits
+    }
+
+    /// One randomly drawn operation, applied identically to both
+    /// communicators (requests are kept per communicator, in post order).
+    fn apply(
+        c: &mut Comm,
+        pending: &mut Vec<crate::Request>,
+        op: (u8, u64, usize, usize, f64),
+        per_rank: bool,
+    ) {
+        use crate::Overlap;
+        let (kind, bytes, x, y, u) = op;
+        let p = c.size();
+        let dt = SimTime::from_micros(500.0 * u);
+        let (a, b) = (x % p, y % p);
+        let group = 1 + x % p;
+        match kind {
+            0 => c.advance_all(dt),
+            1 if per_rank => c.advance(a, dt),
+            2 => match y % 5 {
+                0 => drop(c.allreduce(bytes)),
+                1 => drop(c.barrier()),
+                2 => drop(c.alltoall(bytes)),
+                3 => drop(c.bcast(bytes)),
+                _ => drop(c.alltoallv(p - 1, bytes)),
+            },
+            3 => match y % 3 {
+                0 => drop(c.alltoall_grouped(group, bytes)),
+                1 => drop(c.alltoallv_grouped(group, group - 1, bytes)),
+                _ => drop(c.bcast_grouped(group, bytes)),
+            },
+            4 => pending.push(c.ialltoallv(y % p, bytes)),
+            5 => pending.push(c.ialltoallv_grouped(group, y % group, bytes)),
+            6 if per_rank && a != b => {
+                let req = if y % 2 == 0 {
+                    c.isend(a, b, bytes)
+                } else {
+                    c.irecv(a, b, bytes)
+                };
+                pending.push(req);
+            }
+            7 if !pending.is_empty() => drop(pending.remove(0).wait(c)),
+            8 => drop(Overlap::pipeline(
+                c,
+                1 + y % 4,
+                |c, _| c.advance_all(dt),
+                |c, _| c.ialltoall(bytes),
+                |c, _| c.advance_all(dt * 0.5),
+            )),
+            9 if per_rank && a != b => drop(c.send(a, b, bytes)),
+            _ => c.advance_all(dt * 0.25),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Lockstep is a representation, not a model: a communicator that
+        /// stays in lockstep until a per-rank operation splits it observes
+        /// exactly — bit for bit, trace bytes included — what one split
+        /// from the start does, under jitter, contention, telemetry and
+        /// straggler spans.
+        #[test]
+        fn lockstep_and_split_clocks_are_bit_identical(
+            ranks in 1usize..12,
+            flags in 0u8..32,
+            amp in 0.0f64..0.5,
+            ops in proptest::collection::vec(
+                (0u8..11, 0u64..(1 << 20), 0usize..64, 0usize..64, 0.0f64..1.0),
+                1..48,
+            ),
+        ) {
+            let (jitter, contended, traced, stragglers, per_rank) = (
+                flags & 1 != 0,
+                flags & 2 != 0,
+                flags & 4 != 0,
+                flags & 8 != 0,
+                flags & 16 != 0,
+            );
+            let mut net = Network::from_machine(&MachineModel::frontier());
+            if contended {
+                net = net.with_contention(1.0 + 4.0 * amp, 1.0 + 2.0 * amp);
+            }
+            let collectors = [TelemetryCollector::shared(), TelemetryCollector::shared()];
+            let mut comms: Vec<Comm> = collectors
+                .iter()
+                .map(|col| {
+                    let mut c = Comm::new(ranks, net.clone());
+                    if jitter {
+                        c.set_jitter(amp, 17);
+                    }
+                    if traced {
+                        c.attach_telemetry(col, "w");
+                        c.record_straggler_spans(stragglers);
+                    }
+                    c
+                })
+                .collect();
+            comms[1].force_split();
+            let mut pending: [Vec<crate::Request>; 2] = Default::default();
+            for &op in &ops {
+                for (c, q) in comms.iter_mut().zip(pending.iter_mut()) {
+                    apply(c, q, op, per_rank);
+                }
+                proptest::prop_assert_eq!(
+                    observed_bits(&comms[0]),
+                    observed_bits(&comms[1]),
+                    "after {:?}",
+                    op
+                );
+            }
+            for (c, q) in comms.iter_mut().zip(pending.iter_mut()) {
+                for req in q.drain(..) {
+                    req.wait(c);
+                }
+                c.absorb_telemetry();
+            }
+            proptest::prop_assert_eq!(observed_bits(&comms[0]), observed_bits(&comms[1]));
+            if !per_rank {
+                proptest::prop_assert!(matches!(comms[0].ranks, Ranks::Lockstep { .. }));
+            }
+            proptest::prop_assert_eq!(collectors[0].chrome_trace(), collectors[1].chrome_trace());
         }
     }
 

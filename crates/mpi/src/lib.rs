@@ -13,7 +13,9 @@
 //! rank and every operation advances the clocks of the ranks involved. Data-
 //! carrying collectives really move the caller's data (so numerics stay
 //! testable); cost-only variants price paper-scale runs (32k ranks) without
-//! allocating paper-scale memory.
+//! allocating paper-scale memory. Until an operation touches a single rank,
+//! the clocks are kept in lockstep (one clock standing for every rank), so
+//! such pricing costs O(1) per operation rather than O(ranks).
 //!
 //! GPU-aware communication is a per-[`Network`] toggle: turning it off makes
 //! every payload stage through host memory, reproducing the §2.2 guidance

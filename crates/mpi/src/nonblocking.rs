@@ -18,7 +18,7 @@
 //!   `overlap_efficiency()` reports how much communication compute absorbed.
 
 use crate::collectives as coll;
-use crate::comm::Comm;
+use crate::comm::{Comm, Ranks};
 use exa_machine::SimTime;
 use exa_telemetry::SpanCat;
 
@@ -125,7 +125,7 @@ impl Comm {
             Participants::All => self.elapsed(),
             Participants::Pair(a, b) => {
                 assert!(a != b, "self-sends are local copies, not messages");
-                self.clocks[a].now().max(self.clocks[b].now())
+                self.now(a).max(self.now(b))
             }
         };
         let start = issue.max(self.net_free);
@@ -149,33 +149,61 @@ impl Comm {
     /// the in-flight window, attribute the hidden remainder, and record the
     /// operation's span on the participant tracks.
     pub(crate) fn complete_request(&mut self, req: &Request) {
-        let ranks: Vec<usize> = match req.participants {
-            Participants::All => (0..self.size()).collect(),
-            Participants::Pair(a, b) => vec![a, b],
-        };
-        for &r in &ranks {
-            let now = self.clocks[r].now();
-            let residue = if req.finish > now {
+        let residue_at = |now: SimTime| {
+            if req.finish > now {
                 req.finish - now
             } else {
                 SimTime::ZERO
-            };
-            self.waits[r] += residue;
-            self.stats.wait += residue;
-            self.stats.hidden += req.cost - residue.min(req.cost);
-            self.stats.inflight += req.cost;
-            self.clocks[r].sync_to(now.max(req.finish));
+            }
+        };
+        let size = self.size();
+        let stats = &mut self.stats;
+        let mut book = |residue: SimTime| {
+            stats.wait += residue;
+            stats.hidden += req.cost - residue.min(req.cost);
+            stats.inflight += req.cost;
+        };
+        match (req.participants, &mut self.ranks) {
+            (Participants::All, Ranks::Lockstep { clock, wait }) => {
+                let now = clock.now();
+                let residue = residue_at(now);
+                *wait += residue;
+                clock.sync_to(now.max(req.finish));
+                // Book once per rank, in rank order, so the f64 sums round
+                // exactly as the per-rank walk does (`residue × p` would
+                // move the low bits).
+                for _ in 0..size {
+                    book(residue);
+                }
+            }
+            (participants, ranks) => {
+                let (clocks, waits) = ranks.split(size);
+                let mut charge = |r: usize| {
+                    let now = clocks[r].now();
+                    let residue = residue_at(now);
+                    waits[r] += residue;
+                    book(residue);
+                    clocks[r].sync_to(now.max(req.finish));
+                };
+                match participants {
+                    Participants::All => (0..size).for_each(&mut charge),
+                    Participants::Pair(a, b) => [a, b].into_iter().for_each(&mut charge),
+                }
+            }
         }
         self.stats.nonblocking += 1;
         if let Some(tel) = self.telemetry.as_ref() {
             if !req.cost.is_zero() {
-                let cat = match req.participants {
-                    Participants::All => SpanCat::Collective,
-                    Participants::Pair(..) => SpanCat::Message,
+                let pair;
+                let (cat, tracks): (_, &[_]) = match req.participants {
+                    Participants::All => (SpanCat::Collective, &tel.tracks),
+                    Participants::Pair(a, b) => {
+                        pair = [tel.tracks[a], tel.tracks[b]];
+                        (SpanCat::Message, &pair)
+                    }
                 };
-                let tracks: Vec<_> = ranks.iter().map(|&r| tel.tracks[r]).collect();
                 tel.collector
-                    .complete_on_tracks(&tracks, req.name, cat, req.start, req.finish);
+                    .complete_on_tracks(tracks, req.name, cat, req.start, req.finish);
             }
         }
     }
@@ -220,25 +248,19 @@ impl Comm {
     }
 
     /// Split-phase variable-size all-to-all ([`Comm::alltoallv`]).
-    pub fn ialltoallv(&mut self, pair_bytes: &[u64]) -> Request {
-        assert!(
-            pair_bytes.len() < self.size(),
-            "more peers than remote ranks"
-        );
-        let cost = coll::alltoallv_time(&self.net, pair_bytes);
-        let vol = pair_bytes.iter().sum::<u64>() * self.size() as u64;
+    pub fn ialltoallv(&mut self, peers: usize, bytes: u64) -> Request {
+        assert!(peers < self.size(), "more peers than remote ranks");
+        let cost = coll::alltoallv_time(&self.net, peers, bytes);
+        let vol = bytes * self.size() as u64;
         self.post("ialltoallv", Participants::All, cost, vol)
     }
 
     /// Split-phase grouped variable-size all-to-all.
-    pub fn ialltoallv_grouped(&mut self, group: usize, pair_bytes: &[u64]) -> Request {
+    pub fn ialltoallv_grouped(&mut self, group: usize, peers: usize, bytes: u64) -> Request {
         assert!(group >= 1 && group <= self.size());
-        assert!(
-            pair_bytes.len() < group,
-            "more peers than remote group members"
-        );
-        let cost = coll::alltoallv_time(&self.net, pair_bytes);
-        let vol = pair_bytes.iter().sum::<u64>() * self.size() as u64;
+        assert!(peers < group, "more peers than remote group members");
+        let cost = coll::alltoallv_time(&self.net, peers, bytes);
+        let vol = bytes * self.size() as u64;
         self.post("ialltoallv_grouped", Participants::All, cost, vol)
     }
 

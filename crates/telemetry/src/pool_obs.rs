@@ -22,10 +22,20 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use workpool::{PoolObserver, CALLER_LANE};
 
+/// Task intervals a lane keeps for its worker track between landings. A
+/// long-lived pool (the campaign service lands only at the end of a
+/// campaign) would otherwise grow by one interval per task; past the cap
+/// intervals are counted, not kept, while `tasks`, busy time, steals and
+/// both histograms stay exact.
+pub const MAX_LANE_INTERVALS: usize = 4096;
+
 #[derive(Debug, Default)]
 struct LaneLog {
-    /// Closed task intervals: `(start_ns, end_ns, stolen)`.
+    /// Closed task intervals: `(start_ns, end_ns, stolen)`, the first
+    /// [`MAX_LANE_INTERVALS`] since the last landing.
     intervals: Vec<(u64, u64, bool)>,
+    /// Intervals past the cap, not kept.
+    dropped: u64,
     busy_ns: u64,
     stolen: u64,
 }
@@ -104,7 +114,10 @@ impl PoolTelemetry {
     ///   injects, parks) and gauges (busy seconds, parked seconds, queue
     ///   depth mean/max, active lanes);
     /// * `pool.task_run_s` / `pool.steal_latency_s` histograms, merged
-    ///   into the registry (exact, associative).
+    ///   into the registry (exact, associative);
+    /// * `pool.intervals_dropped`, when some lane ran more than
+    ///   [`MAX_LANE_INTERVALS`] tasks since the last landing: the task
+    ///   spans its worker track is missing.
     ///
     /// Returns total busy nanoseconds landed.
     pub fn land(&self, collector: &TelemetryCollector, namespace: &str) -> u64 {
@@ -151,6 +164,10 @@ impl PoolTelemetry {
             m.gauge_max("pool.active_lanes", inner.lanes.len() as f64);
             m.hist_merge("pool.task_run_s", &inner.task_run_s);
             m.hist_merge("pool.steal_latency_s", &inner.steal_latency_s);
+            let dropped: u64 = inner.lanes.values().map(|l| l.dropped).sum();
+            if dropped > 0 {
+                m.counter_add("pool.intervals_dropped", dropped);
+            }
         });
         busy_total
     }
@@ -163,7 +180,11 @@ impl PoolObserver for PoolTelemetry {
         g.task_run_s
             .record(end_ns.saturating_sub(start_ns) as f64 / 1e9);
         let log = g.lanes.entry(lane).or_default();
-        log.intervals.push((start_ns, end_ns, stolen));
+        if log.intervals.len() < MAX_LANE_INTERVALS {
+            log.intervals.push((start_ns, end_ns, stolen));
+        } else {
+            log.dropped += 1;
+        }
         log.busy_ns += end_ns.saturating_sub(start_ns);
         if stolen {
             log.stolen += 1;
@@ -257,6 +278,43 @@ mod tests {
             32,
             "no double count"
         );
+    }
+
+    #[test]
+    fn lane_intervals_are_capped_while_totals_stay_exact() {
+        let obs = PoolTelemetry::new();
+        let extra = 100;
+        let n = MAX_LANE_INTERVALS + extra;
+        for i in 0..n as u64 {
+            obs.task_run(0, 10 * i, 10 * i + 3, i % 2 == 0);
+        }
+        obs.task_run(1, 0, 5, false);
+        assert_eq!(obs.tasks(), n as u64 + 1);
+        assert_eq!(obs.busy_ns(), 3 * n as u64 + 5);
+        let collector = TelemetryCollector::new();
+        assert_eq!(obs.land(&collector, "pool"), 3 * n as u64 + 5);
+        let snap = collector.snapshot();
+        assert_eq!(snap.counter("pool.tasks"), n as u64 + 1);
+        assert_eq!(snap.counter("pool.tasks_stolen"), n.div_ceil(2) as u64);
+        assert_eq!(snap.counter("pool.intervals_dropped"), extra as u64);
+        assert_eq!(
+            snap.hist("pool.task_run_s").expect("histogram").count(),
+            n as u64 + 1
+        );
+        let spans = |name: &str| {
+            snap.tracks
+                .iter()
+                .find(|t| t.name == name)
+                .map(|t| t.spans)
+                .expect("worker track")
+        };
+        assert_eq!(spans("pool/worker0"), MAX_LANE_INTERVALS as u64);
+        assert_eq!(spans("pool/worker1"), 1);
+        // Landing drains the drop count with everything else.
+        obs.task_run(0, 0, 1, false);
+        let again = TelemetryCollector::new();
+        obs.land(&again, "pool");
+        assert_eq!(again.snapshot().counter("pool.intervals_dropped"), 0);
     }
 
     #[test]

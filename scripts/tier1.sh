@@ -54,28 +54,37 @@
 # `check_artifact <file> <validator>` — the bins gate themselves, but
 # absence or schema drift of the written record is a hard failure too.
 #
-# Any step failing fails the flow.
+# Any step failing fails the flow. Each step logs its elapsed wall seconds
+# (`tier1: <n> s: <command>`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
-cargo clippy --workspace --release --all-targets -- -D warnings
-cargo fmt --all -- --check
+# Run one step and log its elapsed wall seconds (bash `SECONDS`), so the
+# cost of each step is visible in CI logs.
+timed() {
+    local t0=$SECONDS
+    "$@"
+    echo "tier1: $((SECONDS - t0)) s: ${EXA_THREADS:+EXA_THREADS=$EXA_THREADS }$*"
+}
+
+timed cargo build --release
+timed cargo clippy --workspace --release --all-targets -- -D warnings
+timed cargo fmt --all -- --check
 for threads in 1 4; do
-    EXA_THREADS=$threads cargo test -q --workspace --release
+    EXA_THREADS=$threads timed cargo test -q --workspace --release
 done
 # The release profile compiles out `debug_assert!` and overflow checks;
 # one debug pass keeps them gated.
-EXA_THREADS=4 cargo test -q --workspace
-cargo run --release -q -p exa-bench --bin profile_export
-cargo run --release -q -p exa-bench --bin fom_ledger
-cargo bench -q -p exa-bench --bench comm_overlap
-cargo bench -q -p exa-bench --bench sim_throughput
-cargo bench -q -p exa-bench --bench autotune
-EXA_THREADS=4 cargo run --release -q -p exa-bench --bin obs_export
-EXA_THREADS=4 cargo bench -q -p exa-bench --bench telemetry_overhead
-EXA_THREADS=4 cargo run --release -q -p exa-bench --bin fault_scenarios
-EXA_THREADS=4 cargo run --release -q -p exa-bench --bin campaign_load
+EXA_THREADS=4 timed cargo test -q --workspace
+timed cargo run --release -q -p exa-bench --bin profile_export
+timed cargo run --release -q -p exa-bench --bin fom_ledger
+timed cargo bench -q -p exa-bench --bench comm_overlap
+timed cargo bench -q -p exa-bench --bench sim_throughput
+timed cargo bench -q -p exa-bench --bench autotune
+EXA_THREADS=4 timed cargo run --release -q -p exa-bench --bin obs_export
+EXA_THREADS=4 timed cargo bench -q -p exa-bench --bench telemetry_overhead
+EXA_THREADS=4 timed cargo run --release -q -p exa-bench --bin fault_scenarios
+EXA_THREADS=4 timed cargo run --release -q -p exa-bench --bin campaign_load
 
 # --- Artifact schema validators --------------------------------------------
 # Each validator takes the artifact path, prints its own diagnostic, and
